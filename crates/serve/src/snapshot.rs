@@ -745,15 +745,30 @@ mod tests {
         }
     }
 
+    fn multi_chip_sample() -> Snapshot {
+        let mut snapshot = sample();
+        let chip = StandardTopology::Grid.build();
+        snapshot.sessions[0].topology = qgdp_topology::multi_chip(&chip, 1, 2, 2, 100.0);
+        snapshot
+    }
+
+    /// Format v1 is frozen: files written by any earlier build must keep
+    /// decoding. A layout change fails here; it needs a new `VERSION`.
+    #[test]
+    fn format_v1_bytes_are_pinned() {
+        for (snapshot, digest, len) in [
+            (sample(), 0xb6bf_0366_1466_3ff3, 1678),
+            (multi_chip_sample(), 0x1bd2_07f4_bcb1_0012, 2764),
+        ] {
+            let bytes = encode(&snapshot);
+            assert_eq!((qgdp::stable_digest(&bytes), bytes.len()), (digest, len));
+        }
+        assert_eq!(VERSION, 1);
+    }
+
     #[test]
     fn round_trip_is_byte_stable() {
-        let multi_chip = {
-            let mut snapshot = sample();
-            let chip = StandardTopology::Grid.build();
-            snapshot.sessions[0].topology = qgdp_topology::multi_chip(&chip, 1, 2, 2, 100.0);
-            snapshot
-        };
-        for snapshot in [sample(), multi_chip] {
+        for snapshot in [sample(), multi_chip_sample()] {
             let bytes = encode(&snapshot);
             let decoded = decode(&bytes).unwrap();
             assert_eq!(decoded, snapshot);
