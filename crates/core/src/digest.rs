@@ -6,21 +6,21 @@
 //! the netlist-shaping config fields and the global-placer config, but *not* on
 //! which legalization strategy or detailed-placer configuration will consume it; a
 //! [`CellLegalized`](crate::CellLegalized) adds the strategy; a
-//! [`Detailed`](crate::Detailed) adds the detail config.  [`ArtifactKey`] encodes
-//! exactly that prefix, canonically, into bytes:
+//! [`Detailed`](crate::Detailed) adds the detail config.  [`ArtifactKey`] is
+//! exactly that prefix: a level tag byte per stage followed by the bytes of
+//! the one [`canonical`] codec, the same bytes the
+//! `qgdp-serve` snapshot persists:
 //!
 //! ```text
-//! ArtifactKey::session(topology, config)   →  GP-level identity
-//!     .for_strategy(strategy)              →  legalized-level identity
-//!     .for_detail(&detail_config)          →  detailed-level identity
+//! ArtifactKey::session(topology, config)   →  'S' · encode_session   (GP level)
+//!     .for_strategy(strategy)              →  + 'L' · encode_strategy (legalized)
+//!     .for_detail(&detail_config)          →  + 'D' · encode_detail   (detailed)
 //! ```
 //!
 //! Two keys are equal **iff their canonical byte encodings are equal** — the
 //! 64-bit [FNV-1a] digest is only a fast bucketing hint, so a digest collision
 //! between differing configurations is harmless *by construction*: the byte
-//! comparison still tells them apart.  Every `f64` is encoded via
-//! [`f64::to_bits`], making the identity exactly as strict as the bit-identity
-//! contracts the rest of the repository tests against.
+//! comparison still tells them apart.
 //!
 //! Fault-injected configurations ([`FlowConfig::is_cacheable`] is `false`) must
 //! never be cached; the serve layer bypasses its store entirely for them, so they
@@ -28,10 +28,11 @@
 //!
 //! [FNV-1a]: http://www.isthe.com/chongo/tech/comp/fnv/
 
+use crate::canonical;
 use crate::detail::DetailedPlacerConfig;
 use crate::pipeline::FlowConfig;
 use crate::strategy::LegalizationStrategy;
-use qgdp_topology::{Topology, TopologyKind};
+use qgdp_topology::Topology;
 use std::fmt;
 use std::hash::{Hash, Hasher};
 
@@ -142,17 +143,15 @@ impl ArtifactKey {
         ArtifactKey { bytes, digest }
     }
 
-    /// The GP-level (session) identity: topology plus every [`FlowConfig`] field
-    /// that shapes the netlist, the global placement or the cached reports —
-    /// geometry, net model, GP config and crosstalk thresholds.  The detail
-    /// config, the `detailed_placement` flag and the fault hooks are *not* part
-    /// of this prefix: they cannot change what a GP or legalization produces.
+    /// The GP-level (session) identity: the session tag byte followed by
+    /// [`canonical::encode_session`].  The detail config, the
+    /// `detailed_placement` flag and the fault hooks are *not* part of it:
+    /// they cannot change what a GP or legalization produces.
     #[must_use]
     pub fn session(topology: &Topology, config: &FlowConfig) -> Self {
         let mut out = Vec::with_capacity(256);
         out.push(TAG_SESSION);
-        encode_topology(topology, &mut out);
-        encode_gp_prefix(config, &mut out);
+        canonical::encode_session(topology, config, &mut out);
         ArtifactKey::from_bytes(out)
     }
 
@@ -161,22 +160,17 @@ impl ArtifactKey {
     pub fn for_strategy(&self, strategy: LegalizationStrategy) -> Self {
         let mut out = self.bytes.clone();
         out.push(TAG_STRATEGY);
-        out.push(strategy_tag(strategy));
+        canonical::encode_strategy(strategy, &mut out);
         ArtifactKey::from_bytes(out)
     }
 
     /// The detailed-level identity: this key's stage prefix plus the full
-    /// detailed-placer configuration.
+    /// detailed-placer configuration ([`canonical::encode_detail`]).
     #[must_use]
     pub fn for_detail(&self, detail: &DetailedPlacerConfig) -> Self {
         let mut out = self.bytes.clone();
         out.push(TAG_DETAIL);
-        push_f64(&mut out, detail.window_margin_cells);
-        push_u64(&mut out, detail.max_windows as u64);
-        push_u64(&mut out, detail.passes as u64);
-        push_f64(&mut out, detail.crosstalk.proximity_threshold);
-        push_f64(&mut out, detail.crosstalk.detuning_threshold_ghz);
-        out.push(u8::from(detail.fidelity_guided));
+        canonical::encode_detail(detail, &mut out);
         ArtifactKey::from_bytes(out)
     }
 
@@ -231,109 +225,14 @@ impl fmt::Debug for ArtifactKey {
     }
 }
 
-fn push_u64(out: &mut Vec<u8>, v: u64) {
-    out.extend_from_slice(&v.to_le_bytes());
-}
-
-fn push_f64(out: &mut Vec<u8>, v: f64) {
-    push_u64(out, v.to_bits());
-}
-
-fn push_str(out: &mut Vec<u8>, s: &str) {
-    push_u64(out, s.len() as u64);
-    out.extend_from_slice(s.as_bytes());
-}
-
-/// A stable tag byte per [`LegalizationStrategy`] variant (wire/key encoding).
-#[must_use]
-pub fn strategy_tag(strategy: LegalizationStrategy) -> u8 {
-    match strategy {
-        LegalizationStrategy::Qgdp => 0,
-        LegalizationStrategy::QAbacus => 1,
-        LegalizationStrategy::QTetris => 2,
-        LegalizationStrategy::Abacus => 3,
-        LegalizationStrategy::Tetris => 4,
-    }
-}
-
-/// The inverse of [`strategy_tag`]; `None` for unknown tags.
-#[must_use]
-pub fn strategy_from_tag(tag: u8) -> Option<LegalizationStrategy> {
-    Some(match tag {
-        0 => LegalizationStrategy::Qgdp,
-        1 => LegalizationStrategy::QAbacus,
-        2 => LegalizationStrategy::QTetris,
-        3 => LegalizationStrategy::Abacus,
-        4 => LegalizationStrategy::Tetris,
-        _ => return None,
-    })
-}
-
-fn kind_tag(kind: TopologyKind) -> u8 {
-    match kind {
-        TopologyKind::Grid => 0,
-        TopologyKind::HeavyHex => 1,
-        TopologyKind::Octagon => 2,
-        TopologyKind::Xtree => 3,
-        TopologyKind::MultiChip => 5,
-        // `TopologyKind` is non-exhaustive; `Custom` and any future variant
-        // land on tag 4 — the graph and coordinates encoded next still
-        // separate structurally distinct devices.
-        _ => 4,
-    }
-}
-
-/// Canonically encodes a topology: name, kind, qubit count, couplings
-/// (normalised order, as stored) and lattice coordinates (bit patterns).
-fn encode_topology(topology: &Topology, out: &mut Vec<u8>) {
-    push_str(out, topology.name());
-    out.push(kind_tag(topology.kind()));
-    push_u64(out, topology.num_qubits() as u64);
-    push_u64(out, topology.couplings().len() as u64);
-    for &(a, b) in topology.couplings() {
-        push_u64(out, a as u64);
-        push_u64(out, b as u64);
-    }
-    for p in topology.coords() {
-        push_f64(out, p.x);
-        push_f64(out, p.y);
-    }
-}
-
-/// Encodes the GP-stage prefix of a [`FlowConfig`]: geometry, net model, GP
-/// config, crosstalk thresholds — every field earlier stages read.
-fn encode_gp_prefix(config: &FlowConfig, out: &mut Vec<u8>) {
-    let g = &config.geometry;
-    push_f64(out, g.qubit_width);
-    push_f64(out, g.qubit_height);
-    push_f64(out, g.wire_block_size);
-    push_f64(out, g.padding_length);
-    push_f64(out, g.resonator_wirelength);
-    push_f64(out, g.min_qubit_spacing_cells);
-    out.push(match config.net_model {
-        qgdp_netlist::NetModel::Chain => 0,
-        qgdp_netlist::NetModel::Pseudo => 1,
-        qgdp_netlist::NetModel::Clique => 2,
-    });
-    let gp = &config.gp;
-    push_f64(out, gp.utilization);
-    push_u64(out, gp.iterations as u64);
-    push_f64(out, gp.attraction);
-    push_f64(out, gp.anchor);
-    push_f64(out, gp.repulsion);
-    push_f64(out, gp.damping);
-    push_f64(out, gp.jitter);
-    push_f64(out, gp.qubit_padding_cells);
-    push_u64(out, gp.star_threshold as u64);
-    push_u64(out, gp.seed);
-    push_f64(out, config.crosstalk.proximity_threshold);
-    push_f64(out, config.crosstalk.detuning_threshold_ghz);
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use qgdp_topology::StandardTopology;
+    use crate::canonical::tests::{prefix_only, AnyInputs, KINDS};
+    use proptest::prelude::*;
+    use qgdp_geometry::Point;
+    use qgdp_netlist::NetModel;
+    use qgdp_topology::{StandardTopology, TopologyKind};
 
     #[test]
     fn fnv_vectors_are_stable() {
@@ -343,41 +242,148 @@ mod tests {
         assert_eq!(stable_digest(b"foobar"), 0x8594_4171_f739_67e8);
     }
 
-    #[test]
-    fn session_keys_separate_every_prefix_field() {
-        let topo = StandardTopology::Grid.build();
-        let base = FlowConfig::default().with_seed(7);
-        let base_key = ArtifactKey::session(&topo, &base);
-        // Same inputs → same key, bit for bit.
-        assert_eq!(base_key, ArtifactKey::session(&topo, &base));
-        assert_eq!(
-            base_key.digest(),
-            ArtifactKey::session(&topo, &base).digest()
-        );
+    fn nudge(v: &mut f64) {
+        *v = f64::from_bits(v.to_bits() ^ 1);
+    }
 
-        // Differing prefix fields → differing canonical bytes (not merely
-        // differing digests), so a cache can never conflate them.
-        let variants = [
-            ArtifactKey::session(&topo, &base.with_seed(8)),
-            ArtifactKey::session(&topo, &base.with_net_model(qgdp_netlist::NetModel::Chain)),
-            ArtifactKey::session(
-                &topo,
-                &base.with_crosstalk(qgdp_metrics::CrosstalkConfig {
-                    proximity_threshold: 11.0,
-                    ..Default::default()
-                }),
-            ),
-            ArtifactKey::session(&StandardTopology::Falcon.build(), &base),
-        ];
-        for (i, v) in variants.iter().enumerate() {
-            assert_ne!(base_key.bytes(), v.bytes(), "variant {i} collided");
+    /// A named single-field change.
+    type Change<T> = (&'static str, fn(&mut T));
+
+    /// A topology from `t`'s name and the given parts.
+    fn rebuild(
+        t: &Topology,
+        kind: TopologyKind,
+        couplings: Vec<(usize, usize)>,
+        coords: Vec<Point>,
+    ) -> Topology {
+        Topology::new(t.name(), kind, coords.len(), couplings, coords).with_name(t.name())
+    }
+
+    fn topology_changes() -> [Change<Topology>; 5] {
+        [
+            ("name", |t| {
+                *t = t.clone().with_name(format!("{}'", t.name()))
+            }),
+            ("kind", |t| {
+                let at = KINDS.iter().position(|&k| k == t.kind()).unwrap();
+                let kind = KINDS[(at + 1) % KINDS.len()];
+                *t = rebuild(t, kind, t.couplings().to_vec(), t.coords().to_vec());
+            }),
+            ("qubit count", |t| {
+                let mut coords = t.coords().to_vec();
+                coords.push(Point::new(0.0, 0.0));
+                *t = rebuild(t, t.kind(), t.couplings().to_vec(), coords);
+            }),
+            ("couplings", |t| {
+                let mut couplings = t.couplings().to_vec();
+                if couplings.pop().is_none() {
+                    couplings.push((0, 1));
+                }
+                *t = rebuild(t, t.kind(), couplings, t.coords().to_vec());
+            }),
+            ("coordinate", |t| {
+                let mut coords = t.coords().to_vec();
+                nudge(&mut coords[0].y);
+                *t = rebuild(t, t.kind(), t.couplings().to_vec(), coords);
+            }),
+        ]
+    }
+
+    fn prefix_changes() -> [Change<FlowConfig>; 19] {
+        [
+            ("qubit_width", |c| nudge(&mut c.geometry.qubit_width)),
+            ("qubit_height", |c| nudge(&mut c.geometry.qubit_height)),
+            ("wire_block_size", |c| {
+                nudge(&mut c.geometry.wire_block_size)
+            }),
+            ("padding_length", |c| nudge(&mut c.geometry.padding_length)),
+            ("resonator_wirelength", |c| {
+                nudge(&mut c.geometry.resonator_wirelength)
+            }),
+            ("min_qubit_spacing_cells", |c| {
+                nudge(&mut c.geometry.min_qubit_spacing_cells)
+            }),
+            ("net_model", |c| {
+                c.net_model = match c.net_model {
+                    NetModel::Chain => NetModel::Pseudo,
+                    NetModel::Pseudo => NetModel::Clique,
+                    NetModel::Clique => NetModel::Chain,
+                }
+            }),
+            ("utilization", |c| nudge(&mut c.gp.utilization)),
+            ("iterations", |c| c.gp.iterations ^= 1),
+            ("attraction", |c| nudge(&mut c.gp.attraction)),
+            ("anchor", |c| nudge(&mut c.gp.anchor)),
+            ("repulsion", |c| nudge(&mut c.gp.repulsion)),
+            ("damping", |c| nudge(&mut c.gp.damping)),
+            ("jitter", |c| nudge(&mut c.gp.jitter)),
+            ("qubit_padding_cells", |c| {
+                nudge(&mut c.gp.qubit_padding_cells)
+            }),
+            ("star_threshold", |c| c.gp.star_threshold ^= 1),
+            ("seed", |c| c.gp.seed ^= 1),
+            ("proximity_threshold", |c| {
+                nudge(&mut c.crosstalk.proximity_threshold)
+            }),
+            ("detuning_threshold_ghz", |c| {
+                nudge(&mut c.crosstalk.detuning_threshold_ghz)
+            }),
+        ]
+    }
+
+    fn detail_changes() -> [Change<DetailedPlacerConfig>; 6] {
+        [
+            ("window_margin_cells", |d| nudge(&mut d.window_margin_cells)),
+            ("max_windows", |d| d.max_windows ^= 1),
+            ("passes", |d| d.passes ^= 1),
+            ("proximity_threshold", |d| {
+                nudge(&mut d.crosstalk.proximity_threshold)
+            }),
+            ("detuning_threshold_ghz", |d| {
+                nudge(&mut d.crosstalk.detuning_threshold_ghz)
+            }),
+            ("fidelity_guided", |d| d.fidelity_guided ^= true),
+        ]
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(128))]
+
+        #[test]
+        fn session_keys_separate_every_prefix_field(inputs in AnyInputs) {
+            let (topology, config, detail) = inputs;
+            let key = ArtifactKey::session(&topology, &config);
+            prop_assert_eq!(&key, &ArtifactKey::session(&topology.clone(), &config));
+            // Fields outside the GP stage prefix must NOT change the identity:
+            // a session key is shared by detail-on and detail-off requests.
+            prop_assert_eq!(&key, &ArtifactKey::session(&topology, &prefix_only(&config)));
+            // Any single encoded field changes the canonical bytes (not merely
+            // the digest), so a cache can never conflate them.
+            for (field, change) in topology_changes() {
+                let mut changed = topology.clone();
+                change(&mut changed);
+                let other = ArtifactKey::session(&changed, &config);
+                prop_assert!(other.bytes() != key.bytes(), "topology {} collided", field);
+            }
+            for (field, change) in prefix_changes() {
+                let mut changed = config;
+                change(&mut changed);
+                let other = ArtifactKey::session(&topology, &changed);
+                prop_assert!(other.bytes() != key.bytes(), "config {} collided", field);
+            }
+            let strategies: std::collections::BTreeSet<Vec<u8>> = LegalizationStrategy::all()
+                .into_iter()
+                .map(|s| key.for_strategy(s).bytes().to_vec())
+                .collect();
+            prop_assert_eq!(strategies.len(), LegalizationStrategy::all().len());
+            let detailed = key.for_strategy(LegalizationStrategy::Qgdp).for_detail(&detail);
+            for (field, change) in detail_changes() {
+                let mut changed = detail;
+                change(&mut changed);
+                let other = key.for_strategy(LegalizationStrategy::Qgdp).for_detail(&changed);
+                prop_assert!(other.bytes() != detailed.bytes(), "detail {} collided", field);
+            }
         }
-        // Fields *outside* the GP stage prefix must NOT change the identity:
-        // a session key is shared by detail-on and detail-off requests.
-        let detail_on = base
-            .with_detailed_placement(true)
-            .with_detail(crate::DetailedPlacerConfig::new().with_fidelity_guided(true));
-        assert_eq!(base_key, ArtifactKey::session(&topo, &detail_on));
     }
 
     #[test]
@@ -396,14 +402,6 @@ mod tests {
         // The legalized key literally extends the session key's bytes.
         assert!(qgdp.bytes().starts_with(session.bytes()));
         assert!(detail.bytes().starts_with(qgdp.bytes()));
-    }
-
-    #[test]
-    fn strategy_tags_round_trip() {
-        for s in LegalizationStrategy::all() {
-            assert_eq!(strategy_from_tag(strategy_tag(s)), Some(s));
-        }
-        assert_eq!(strategy_from_tag(250), None);
     }
 
     #[test]

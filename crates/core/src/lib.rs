@@ -71,6 +71,7 @@
 #![deny(rustdoc::broken_intra_doc_links)]
 
 pub mod artifact;
+pub mod canonical;
 pub mod detail;
 pub mod digest;
 pub mod error;

@@ -37,6 +37,7 @@ use qgdp_geometry::Rect;
 use qgdp_metrics::parallel_try_map;
 use qgdp_netlist::{Placement, QuantumNetlist, QubitId, SegmentId};
 use qgdp_topology::Topology;
+use std::collections::BTreeMap;
 use std::fmt;
 use std::sync::{Arc, Mutex};
 use std::time::Duration;
@@ -201,6 +202,51 @@ fn to_data(p: &Placement) -> PlacementData {
         segments: (0..p.num_segments())
             .map(|i| p.segment(SegmentId(i)))
             .collect(),
+    }
+}
+
+/// The snapshot group of one session identity, created empty on first use.
+fn session_group<'a>(
+    groups: &'a mut BTreeMap<ArtifactKey, SessionSnapshot>,
+    topology: &Topology,
+    config: &FlowConfig,
+) -> &'a mut SessionSnapshot {
+    groups
+        .entry(ArtifactKey::session(topology, config))
+        .or_insert_with(|| SessionSnapshot {
+            topology: topology.clone(),
+            config: *config,
+            gp: None,
+            legalized: Vec::new(),
+            detailed: Vec::new(),
+        })
+}
+
+fn gp_snapshot(gp: &qgdp::GlobalPlacement) -> GpSnapshot {
+    GpSnapshot {
+        die: (gp.die().lower_left(), gp.die().width(), gp.die().height()),
+        placement: to_data(gp.placement()),
+        stats: gp.stats(),
+        elapsed_ns: gp.elapsed().as_nanos() as u64,
+    }
+}
+
+/// Adds `cell` and the GP it came from to `group`, each unless already there
+/// (restore needs the whole chain behind a detailed placement).
+fn add_legalized(group: &mut SessionSnapshot, cell: &qgdp::CellLegalized) {
+    group.gp.get_or_insert_with(|| gp_snapshot(cell.global()));
+    if !group
+        .legalized
+        .iter()
+        .any(|l| l.strategy == cell.strategy())
+    {
+        group.legalized.push(LegalizedSnapshot {
+            strategy: cell.strategy(),
+            qubit_placement: to_data(cell.qubit_stage().placement()),
+            qubit_ns: cell.qubit_stage().elapsed().as_nanos() as u64,
+            cell_placement: to_data(cell.placement()),
+            cell_ns: cell.elapsed().as_nanos() as u64,
+        });
     }
 }
 
@@ -429,78 +475,24 @@ impl ServeEngine {
     /// Panics if the store mutex was poisoned (see [`ServeEngine::store_stats`]).
     #[must_use]
     pub fn export_snapshot(&self) -> Snapshot {
-        use std::collections::BTreeMap;
         // Keyed by session content identity so grouping is deterministic.
-        let mut groups: BTreeMap<Vec<u8>, SessionSnapshot> = BTreeMap::new();
-        let group_of = |topology: &Topology,
-                        config: &FlowConfig,
-                        groups: &mut BTreeMap<Vec<u8>, SessionSnapshot>|
-         -> Vec<u8> {
-            let key = ArtifactKey::session(topology, config);
-            groups
-                .entry(key.bytes().to_vec())
-                .or_insert_with(|| SessionSnapshot {
-                    topology: topology.clone(),
-                    config: *config,
-                    gp: None,
-                    legalized: Vec::new(),
-                    detailed: Vec::new(),
-                });
-            key.bytes().to_vec()
-        };
-        let gp_snapshot = |gp: &qgdp::GlobalPlacement| GpSnapshot {
-            die: (gp.die().lower_left(), gp.die().width(), gp.die().height()),
-            placement: to_data(gp.placement()),
-            stats: gp.stats(),
-            elapsed_ns: gp.elapsed().as_nanos() as u64,
-        };
-        let legalized_snapshot = |cell: &qgdp::CellLegalized| LegalizedSnapshot {
-            strategy: cell.strategy(),
-            qubit_placement: to_data(cell.qubit_stage().placement()),
-            qubit_ns: cell.qubit_stage().elapsed().as_nanos() as u64,
-            cell_placement: to_data(cell.placement()),
-            cell_ns: cell.elapsed().as_nanos() as u64,
-        };
-
+        let mut groups: BTreeMap<ArtifactKey, SessionSnapshot> = BTreeMap::new();
         let store = self.store();
         store.for_each(|_, value| match value {
             CacheValue::Session(session) => {
-                let k = group_of(session.topology(), session.config(), &mut groups);
-                let group = groups.get_mut(&k).expect("group just created");
+                let group = session_group(&mut groups, session.topology(), session.config());
                 if group.gp.is_none() {
-                    if let Some(gp) = session.cached_global() {
-                        group.gp = Some(gp_snapshot(&gp));
-                    }
+                    group.gp = session.cached_global().map(|gp| gp_snapshot(&gp));
                 }
             }
             CacheValue::Legalized(cell) => {
-                let k = group_of(cell.topology(), cell.config(), &mut groups);
-                let group = groups.get_mut(&k).expect("group just created");
-                if group.gp.is_none() {
-                    group.gp = Some(gp_snapshot(cell.global()));
-                }
-                if !group
-                    .legalized
-                    .iter()
-                    .any(|l| l.strategy == cell.strategy())
-                {
-                    group.legalized.push(legalized_snapshot(cell));
-                }
+                let group = session_group(&mut groups, cell.topology(), cell.config());
+                add_legalized(group, cell);
             }
             CacheValue::Detailed { artifact, config } => {
                 let cell = artifact.legalized();
-                let k = group_of(cell.topology(), cell.config(), &mut groups);
-                let group = groups.get_mut(&k).expect("group just created");
-                if group.gp.is_none() {
-                    group.gp = Some(gp_snapshot(cell.global()));
-                }
-                if !group
-                    .legalized
-                    .iter()
-                    .any(|l| l.strategy == cell.strategy())
-                {
-                    group.legalized.push(legalized_snapshot(cell));
-                }
+                let group = session_group(&mut groups, cell.topology(), cell.config());
+                add_legalized(group, cell);
                 group.detailed.push(DetailedSnapshot {
                     strategy: artifact.strategy(),
                     detail: *config,
@@ -576,14 +568,14 @@ impl ServeEngine {
                 );
                 let key = session_key.for_strategy(leg.strategy);
                 let bytes = legalized_value_bytes(session.netlist());
-                let restored =
-                    match self
-                        .store()
-                        .insert(key, CacheValue::Legalized(restored.clone()), bytes)
-                    {
-                        CacheValue::Legalized(winner) => winner,
-                        _ => restored,
-                    };
+                let restored = match self.store().insert(
+                    key.clone(),
+                    CacheValue::Legalized(restored.clone()),
+                    bytes,
+                ) {
+                    CacheValue::Legalized(winner) => winner,
+                    _ => restored,
+                };
                 stats.legalized += 1;
 
                 for det in entry.detailed.iter().filter(|d| d.strategy == leg.strategy) {
@@ -594,12 +586,9 @@ impl ServeEngine {
                         det.windows_accepted as usize,
                         Duration::from_nanos(det.elapsed_ns),
                     );
-                    let key = session_key
-                        .for_strategy(leg.strategy)
-                        .for_detail(&det.detail);
                     let bytes = detailed_value_bytes(session.netlist());
                     self.store().insert(
-                        key,
+                        key.for_detail(&det.detail),
                         CacheValue::Detailed {
                             artifact,
                             config: det.detail,

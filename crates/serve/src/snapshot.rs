@@ -1,5 +1,5 @@
-//! The hand-rolled binary snapshot codec: persists the artifact cache across
-//! process restarts without serde or any external dependency.
+//! The binary snapshot file: persists the artifact cache across process
+//! restarts without serde or any external dependency.
 //!
 //! # File layout
 //!
@@ -10,37 +10,44 @@
 //! +----------+---------+-------------+-----------+-------------+
 //! ```
 //!
+//! The payload lists sessions.  Each starts with its session section — the
+//! bytes of [`qgdp::canonical::encode_session`], which are the session
+//! [`ArtifactKey`](qgdp::ArtifactKey)'s bytes after its level tag — followed
+//! by the cached GP, the legalizations (strategy tag first) and the detailed
+//! placements (strategy tag, then [`qgdp::canonical::encode_detail`]).  This
+//! module owns only the header, the checksum and the stage payloads; the
+//! topology and config bytes belong to [`qgdp::canonical`].
+//!
 //! Loads are **checksum-rejecting**: a truncated or bit-flipped file fails with
 //! a typed [`SnapshotError`] (never a panic), and a version the codec does not
 //! speak is refused before any payload byte is touched.
 //!
 //! # Byte stability
 //!
-//! [`encode`] is canonical: sessions are sorted by their content-identity bytes,
-//! legalized stages by strategy tag, detailed stages by `(strategy, detail
-//! config)` encoding, and every `f64` is written as its IEEE-754 bit pattern.
-//! Encoding a snapshot, decoding it and encoding the result yields the **same
-//! bytes**, regardless of cache insertion or LRU order — the round-trip
-//! byte-stability contract of the snapshot test layer.
+//! [`encode`] is canonical: every list (sessions, legalizations, detailed
+//! placements) is written sorted by its entries' own encodings, which lead
+//! with their identity, and every `f64` is written as its IEEE-754 bit
+//! pattern.  Encoding a snapshot, decoding it and encoding the result yields
+//! the **same bytes**, regardless of cache insertion or LRU order — the
+//! round-trip byte-stability contract of the snapshot test layer.
 
-use qgdp::digest::{strategy_from_tag, strategy_tag};
+use qgdp::canonical::{
+    decode_detail, decode_session, decode_strategy, encode_detail, encode_session, encode_strategy,
+    put_f64, put_points, put_u64, CodecError, Reader,
+};
 use qgdp::{DetailedPlacerConfig, FlowConfig, LegalizationStrategy, StableHasher};
 use qgdp_geometry::Point;
-use qgdp_metrics::CrosstalkConfig;
-use qgdp_netlist::NetModel;
-use qgdp_placer::{GlobalPlacerConfig, GpStats};
-use qgdp_topology::{Topology, TopologyKind};
+use qgdp_placer::GpStats;
+use qgdp_topology::Topology;
 use std::fmt;
-use std::path::Path;
+use std::fs::File;
+use std::io::Write;
+use std::path::{Path, PathBuf};
 
 /// The 8-byte magic prefix of every snapshot file.
 pub const MAGIC: &[u8; 8] = b"QGDPSNAP";
 /// The codec version this build writes and the only one it reads.
 pub const VERSION: u32 = 1;
-
-/// Cap on any decoded element count, so a corrupted length prefix cannot ask
-/// for an absurd allocation before the real data runs out.
-const MAX_COUNT: u64 = 16_000_000;
 
 /// A typed snapshot failure.  Every malformed input maps to one of these —
 /// decoding never panics.
@@ -69,12 +76,10 @@ impl fmt::Display for SnapshotError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             SnapshotError::BadMagic => write!(f, "not a qGDP snapshot (bad magic)"),
-            SnapshotError::UnsupportedVersion(v) => {
-                write!(
-                    f,
-                    "unsupported snapshot version {v} (this codec speaks {VERSION})"
-                )
-            }
+            SnapshotError::UnsupportedVersion(v) => write!(
+                f,
+                "unsupported snapshot version {v} (this codec speaks {VERSION})"
+            ),
             SnapshotError::Truncated => write!(f, "snapshot file is truncated"),
             SnapshotError::ChecksumMismatch { expected, actual } => write!(
                 f,
@@ -91,6 +96,15 @@ impl std::error::Error for SnapshotError {
         match self {
             SnapshotError::Io(e) => Some(e),
             _ => None,
+        }
+    }
+}
+
+impl From<CodecError> for SnapshotError {
+    fn from(e: CodecError) -> Self {
+        match e {
+            CodecError::Truncated => SnapshotError::Truncated,
+            CodecError::Malformed(what) => SnapshotError::Malformed(what),
         }
     }
 }
@@ -185,162 +199,60 @@ pub struct Snapshot {
 // Encoding
 // ---------------------------------------------------------------------------
 
-fn push_u8(out: &mut Vec<u8>, v: u8) {
-    out.push(v);
-}
-
-fn push_u32(out: &mut Vec<u8>, v: u32) {
-    out.extend_from_slice(&v.to_le_bytes());
-}
-
-fn push_u64(out: &mut Vec<u8>, v: u64) {
-    out.extend_from_slice(&v.to_le_bytes());
-}
-
-fn push_f64(out: &mut Vec<u8>, v: f64) {
-    push_u64(out, v.to_bits());
-}
-
-fn push_str(out: &mut Vec<u8>, s: &str) {
-    push_u64(out, s.len() as u64);
-    out.extend_from_slice(s.as_bytes());
-}
-
-fn push_points(out: &mut Vec<u8>, points: &[Point]) {
-    push_u64(out, points.len() as u64);
-    for p in points {
-        push_f64(out, p.x);
-        push_f64(out, p.y);
-    }
-}
-
 fn push_placement(out: &mut Vec<u8>, p: &PlacementData) {
-    push_points(out, &p.qubits);
-    push_points(out, &p.segments);
+    put_points(out, &p.qubits);
+    put_points(out, &p.segments);
 }
 
-fn kind_tag(kind: TopologyKind) -> u8 {
-    match kind {
-        TopologyKind::Grid => 0,
-        TopologyKind::HeavyHex => 1,
-        TopologyKind::Octagon => 2,
-        TopologyKind::Xtree => 3,
-        TopologyKind::MultiChip => 5,
-        // `Custom` and any future variant share tag 4. `MultiChip` was tag 4
-        // too before it got its own, so older files still decode it as `Custom`.
-        _ => 4,
+/// Encodes every item on its own, sorts the encodings and appends them behind
+/// their count: the canonical, order-free form of a list.
+fn push_sorted<T>(out: &mut Vec<u8>, items: &[T], encode: impl Fn(&mut Vec<u8>, &T)) {
+    let mut bodies: Vec<Vec<u8>> = items
+        .iter()
+        .map(|item| {
+            let mut body = Vec::new();
+            encode(&mut body, item);
+            body
+        })
+        .collect();
+    bodies.sort();
+    put_u64(out, bodies.len() as u64);
+    for body in &bodies {
+        out.extend_from_slice(body);
     }
-}
-
-fn kind_from_tag(tag: u8) -> Option<TopologyKind> {
-    Some(match tag {
-        0 => TopologyKind::Grid,
-        1 => TopologyKind::HeavyHex,
-        2 => TopologyKind::Octagon,
-        3 => TopologyKind::Xtree,
-        4 => TopologyKind::Custom,
-        5 => TopologyKind::MultiChip,
-        _ => return None,
-    })
-}
-
-fn push_topology(out: &mut Vec<u8>, t: &Topology) {
-    push_str(out, t.name());
-    push_u8(out, kind_tag(t.kind()));
-    push_u64(out, t.num_qubits() as u64);
-    push_u64(out, t.couplings().len() as u64);
-    for &(a, b) in t.couplings() {
-        push_u64(out, a as u64);
-        push_u64(out, b as u64);
-    }
-    push_points(out, t.coords());
-}
-
-fn push_config(out: &mut Vec<u8>, c: &FlowConfig) {
-    let g = &c.geometry;
-    push_f64(out, g.qubit_width);
-    push_f64(out, g.qubit_height);
-    push_f64(out, g.wire_block_size);
-    push_f64(out, g.padding_length);
-    push_f64(out, g.resonator_wirelength);
-    push_f64(out, g.min_qubit_spacing_cells);
-    push_u8(
-        out,
-        match c.net_model {
-            NetModel::Chain => 0,
-            NetModel::Pseudo => 1,
-            NetModel::Clique => 2,
-        },
-    );
-    let gp = &c.gp;
-    push_f64(out, gp.utilization);
-    push_u64(out, gp.iterations as u64);
-    push_f64(out, gp.attraction);
-    push_f64(out, gp.anchor);
-    push_f64(out, gp.repulsion);
-    push_f64(out, gp.damping);
-    push_f64(out, gp.jitter);
-    push_f64(out, gp.qubit_padding_cells);
-    push_u64(out, gp.star_threshold as u64);
-    push_u64(out, gp.seed);
-    push_f64(out, c.crosstalk.proximity_threshold);
-    push_f64(out, c.crosstalk.detuning_threshold_ghz);
-}
-
-fn push_detail_config(out: &mut Vec<u8>, d: &DetailedPlacerConfig) {
-    push_f64(out, d.window_margin_cells);
-    push_u64(out, d.max_windows as u64);
-    push_u64(out, d.passes as u64);
-    push_f64(out, d.crosstalk.proximity_threshold);
-    push_f64(out, d.crosstalk.detuning_threshold_ghz);
-    push_u8(out, u8::from(d.fidelity_guided));
-}
-
-fn detail_sort_key(d: &DetailedPlacerConfig) -> Vec<u8> {
-    let mut bytes = Vec::with_capacity(42);
-    push_detail_config(&mut bytes, d);
-    bytes
 }
 
 fn push_session(out: &mut Vec<u8>, s: &SessionSnapshot) {
-    push_topology(out, &s.topology);
-    push_config(out, &s.config);
+    encode_session(&s.topology, &s.config, out);
     match &s.gp {
-        None => push_u8(out, 0),
+        None => out.push(0),
         Some(gp) => {
-            push_u8(out, 1);
-            push_f64(out, gp.die.0.x);
-            push_f64(out, gp.die.0.y);
-            push_f64(out, gp.die.1);
-            push_f64(out, gp.die.2);
+            out.push(1);
+            for v in [gp.die.0.x, gp.die.0.y, gp.die.1, gp.die.2] {
+                put_f64(out, v);
+            }
             push_placement(out, &gp.placement);
-            push_f64(out, gp.stats.hpwl);
-            push_u64(out, gp.stats.overlaps as u64);
-            push_f64(out, gp.stats.max_density);
-            push_u64(out, gp.elapsed_ns);
+            put_f64(out, gp.stats.hpwl);
+            put_u64(out, gp.stats.overlaps as u64);
+            put_f64(out, gp.stats.max_density);
+            put_u64(out, gp.elapsed_ns);
         }
     }
-    let mut legalized: Vec<&LegalizedSnapshot> = s.legalized.iter().collect();
-    legalized.sort_by_key(|l| strategy_tag(l.strategy));
-    push_u64(out, legalized.len() as u64);
-    for l in legalized {
-        push_u8(out, strategy_tag(l.strategy));
+    push_sorted(out, &s.legalized, |out, l| {
+        encode_strategy(l.strategy, out);
         push_placement(out, &l.qubit_placement);
-        push_u64(out, l.qubit_ns);
+        put_u64(out, l.qubit_ns);
         push_placement(out, &l.cell_placement);
-        push_u64(out, l.cell_ns);
-    }
-    let mut detailed: Vec<&DetailedSnapshot> = s.detailed.iter().collect();
-    detailed.sort_by_key(|d| (strategy_tag(d.strategy), detail_sort_key(&d.detail)));
-    push_u64(out, detailed.len() as u64);
-    for d in detailed {
-        push_u8(out, strategy_tag(d.strategy));
-        push_detail_config(out, &d.detail);
+        put_u64(out, l.cell_ns);
+    });
+    push_sorted(out, &s.detailed, |out, d| {
+        encode_strategy(d.strategy, out);
+        encode_detail(&d.detail, out);
         push_placement(out, &d.placement);
-        push_u64(out, d.windows_processed);
-        push_u64(out, d.windows_accepted);
-        push_u64(out, d.elapsed_ns);
-    }
+        put_u64(out, d.windows_processed);
+        put_u64(out, d.windows_accepted);
+        put_u64(out, d.elapsed_ns);
+    });
 }
 
 /// Encodes `snapshot` into the canonical byte form (header + payload +
@@ -348,22 +260,8 @@ fn push_session(out: &mut Vec<u8>, s: &SessionSnapshot) {
 /// bytes, whatever order its vectors arrived in.
 #[must_use]
 pub fn encode(snapshot: &Snapshot) -> Vec<u8> {
-    // Sort sessions by their own canonical encoding for order independence.
-    let mut bodies: Vec<Vec<u8>> = snapshot
-        .sessions
-        .iter()
-        .map(|s| {
-            let mut body = Vec::new();
-            push_session(&mut body, s);
-            body
-        })
-        .collect();
-    bodies.sort();
     let mut payload = Vec::new();
-    push_u64(&mut payload, bodies.len() as u64);
-    for body in &bodies {
-        payload.extend_from_slice(body);
-    }
+    push_sorted(&mut payload, &snapshot.sessions, push_session);
 
     let mut hasher = StableHasher::new();
     hasher.update(&payload);
@@ -371,10 +269,10 @@ pub fn encode(snapshot: &Snapshot) -> Vec<u8> {
 
     let mut out = Vec::with_capacity(payload.len() + 28);
     out.extend_from_slice(MAGIC);
-    push_u32(&mut out, VERSION);
-    push_u64(&mut out, payload.len() as u64);
+    out.extend_from_slice(&VERSION.to_le_bytes());
+    put_u64(&mut out, payload.len() as u64);
     out.extend_from_slice(&payload);
-    push_u64(&mut out, checksum);
+    put_u64(&mut out, checksum);
     out
 }
 
@@ -382,245 +280,62 @@ pub fn encode(snapshot: &Snapshot) -> Vec<u8> {
 // Decoding
 // ---------------------------------------------------------------------------
 
-struct Reader<'a> {
-    bytes: &'a [u8],
-    at: usize,
-}
-
-impl<'a> Reader<'a> {
-    fn new(bytes: &'a [u8]) -> Self {
-        Reader { bytes, at: 0 }
-    }
-
-    fn take(&mut self, n: usize) -> Result<&'a [u8], SnapshotError> {
-        let end = self.at.checked_add(n).ok_or(SnapshotError::Truncated)?;
-        if end > self.bytes.len() {
-            return Err(SnapshotError::Truncated);
-        }
-        let slice = &self.bytes[self.at..end];
-        self.at = end;
-        Ok(slice)
-    }
-
-    fn u8(&mut self) -> Result<u8, SnapshotError> {
-        Ok(self.take(1)?[0])
-    }
-
-    fn u64(&mut self) -> Result<u64, SnapshotError> {
-        let b = self.take(8)?;
-        Ok(u64::from_le_bytes(b.try_into().expect("8-byte slice")))
-    }
-
-    fn f64(&mut self) -> Result<f64, SnapshotError> {
-        Ok(f64::from_bits(self.u64()?))
-    }
-
-    fn count(&mut self, what: &str) -> Result<usize, SnapshotError> {
-        let n = self.u64()?;
-        if n > MAX_COUNT {
-            return Err(SnapshotError::Malformed(format!(
-                "{what} count {n} exceeds the sanity cap"
-            )));
-        }
-        Ok(n as usize)
-    }
-
-    fn string(&mut self, what: &str) -> Result<String, SnapshotError> {
-        let len = self.count(what)?;
-        let bytes = self.take(len)?;
-        String::from_utf8(bytes.to_vec())
-            .map_err(|_| SnapshotError::Malformed(format!("{what} is not UTF-8")))
-    }
-
-    fn points(&mut self, what: &str) -> Result<Vec<Point>, SnapshotError> {
-        let n = self.count(what)?;
-        let mut out = Vec::with_capacity(n.min(65_536));
-        for _ in 0..n {
-            let x = self.f64()?;
-            let y = self.f64()?;
-            out.push(Point::new(x, y));
-        }
-        Ok(out)
-    }
-
-    fn placement(&mut self, what: &str) -> Result<PlacementData, SnapshotError> {
-        Ok(PlacementData {
-            qubits: self.points(what)?,
-            segments: self.points(what)?,
-        })
-    }
-
-    fn is_done(&self) -> bool {
-        self.at == self.bytes.len()
-    }
-}
-
-fn read_topology(r: &mut Reader<'_>) -> Result<Topology, SnapshotError> {
-    let name = r.string("topology name")?;
-    let kind = kind_from_tag(r.u8()?)
-        .ok_or_else(|| SnapshotError::Malformed("unknown topology kind tag".into()))?;
-    let num_qubits = r.count("qubit")?;
-    let num_couplings = r.count("coupling")?;
-    let mut couplings = Vec::with_capacity(num_couplings.min(65_536));
-    for _ in 0..num_couplings {
-        let a = r.u64()? as usize;
-        let b = r.u64()? as usize;
-        if a >= num_qubits || b >= num_qubits || a == b {
-            return Err(SnapshotError::Malformed(format!(
-                "coupling ({a}, {b}) is invalid for {num_qubits} qubits"
-            )));
-        }
-        couplings.push((a, b));
-    }
-    // `Topology::new` panics on duplicates; refuse them here instead.
-    let mut sorted: Vec<(usize, usize)> = couplings
-        .iter()
-        .map(|&(a, b)| if a <= b { (a, b) } else { (b, a) })
-        .collect();
-    sorted.sort_unstable();
-    let before = sorted.len();
-    sorted.dedup();
-    if sorted.len() != before {
-        return Err(SnapshotError::Malformed("duplicate couplings".into()));
-    }
-    let coords = r.points("coordinate")?;
-    if coords.len() != num_qubits {
-        return Err(SnapshotError::Malformed(format!(
-            "{} coordinates for {num_qubits} qubits",
-            coords.len()
-        )));
-    }
-    // `Topology::new` synthesises a "{kind}-{n}" display name; restore the
-    // recorded one so the round trip is lossless.
-    Ok(Topology::new(name.clone(), kind, num_qubits, couplings, coords).with_name(name))
-}
-
-fn read_config(r: &mut Reader<'_>) -> Result<FlowConfig, SnapshotError> {
-    let geometry = qgdp_netlist::ComponentGeometry {
-        qubit_width: r.f64()?,
-        qubit_height: r.f64()?,
-        wire_block_size: r.f64()?,
-        padding_length: r.f64()?,
-        resonator_wirelength: r.f64()?,
-        min_qubit_spacing_cells: r.f64()?,
-    };
-    let net_model = match r.u8()? {
-        0 => NetModel::Chain,
-        1 => NetModel::Pseudo,
-        2 => NetModel::Clique,
-        tag => {
-            return Err(SnapshotError::Malformed(format!(
-                "unknown net-model tag {tag}"
-            )))
-        }
-    };
-    let gp = GlobalPlacerConfig {
-        utilization: r.f64()?,
-        iterations: r.count("gp iteration")?,
-        attraction: r.f64()?,
-        anchor: r.f64()?,
-        repulsion: r.f64()?,
-        damping: r.f64()?,
-        jitter: r.f64()?,
-        qubit_padding_cells: r.f64()?,
-        star_threshold: r.count("gp star threshold")?,
-        seed: r.u64()?,
-    };
-    let crosstalk = CrosstalkConfig {
-        proximity_threshold: r.f64()?,
-        detuning_threshold_ghz: r.f64()?,
-    };
-    Ok(FlowConfig::default()
-        .with_geometry(geometry)
-        .with_net_model(net_model)
-        .with_gp(gp)
-        .with_crosstalk(crosstalk))
-}
-
-fn read_detail_config(r: &mut Reader<'_>) -> Result<DetailedPlacerConfig, SnapshotError> {
-    let window_margin_cells = r.f64()?;
-    let max_windows = r.count("detail window")?;
-    let passes = r.count("detail pass")?;
-    let crosstalk = CrosstalkConfig {
-        proximity_threshold: r.f64()?,
-        detuning_threshold_ghz: r.f64()?,
-    };
-    let fidelity_guided = match r.u8()? {
-        0 => false,
-        1 => true,
-        tag => {
-            return Err(SnapshotError::Malformed(format!(
-                "bad fidelity-guided flag {tag}"
-            )))
-        }
-    };
-    Ok(DetailedPlacerConfig {
-        window_margin_cells,
-        max_windows,
-        passes,
-        crosstalk,
-        fidelity_guided,
+fn read_placement(r: &mut Reader<'_>, what: &str) -> Result<PlacementData, CodecError> {
+    Ok(PlacementData {
+        qubits: r.points(what)?,
+        segments: r.points(what)?,
     })
 }
 
-fn read_strategy(r: &mut Reader<'_>) -> Result<LegalizationStrategy, SnapshotError> {
-    let tag = r.u8()?;
-    strategy_from_tag(tag)
-        .ok_or_else(|| SnapshotError::Malformed(format!("unknown strategy tag {tag}")))
+/// Reads a list written by `push_sorted`.
+fn read_list<T>(
+    r: &mut Reader<'_>,
+    what: &str,
+    mut read: impl FnMut(&mut Reader<'_>) -> Result<T, SnapshotError>,
+) -> Result<Vec<T>, SnapshotError> {
+    let n = r.count(what)?;
+    (0..n).map(|_| read(r)).collect()
 }
 
 fn read_session(r: &mut Reader<'_>) -> Result<SessionSnapshot, SnapshotError> {
-    let topology = read_topology(r)?;
-    let config = read_config(r)?;
+    let (topology, config) = decode_session(r)?;
     let gp = match r.u8()? {
         0 => None,
-        1 => {
-            let ll = Point::new(r.f64()?, r.f64()?);
-            let w = r.f64()?;
-            let h = r.f64()?;
-            let placement = r.placement("gp placement")?;
-            let stats = GpStats {
+        1 => Some(GpSnapshot {
+            die: (Point::new(r.f64()?, r.f64()?), r.f64()?, r.f64()?),
+            placement: read_placement(r, "gp placement")?,
+            stats: GpStats {
                 hpwl: r.f64()?,
                 overlaps: r.count("gp overlap")?,
                 max_density: r.f64()?,
-            };
-            let elapsed_ns = r.u64()?;
-            Some(GpSnapshot {
-                die: (ll, w, h),
-                placement,
-                stats,
-                elapsed_ns,
-            })
-        }
+            },
+            elapsed_ns: r.u64()?,
+        }),
         tag => {
             return Err(SnapshotError::Malformed(format!(
                 "bad gp-presence flag {tag}"
             )))
         }
     };
-    let num_legalized = r.count("legalized")?;
-    let mut legalized = Vec::with_capacity(num_legalized.min(16));
-    for _ in 0..num_legalized {
-        legalized.push(LegalizedSnapshot {
-            strategy: read_strategy(r)?,
-            qubit_placement: r.placement("qubit placement")?,
+    let legalized = read_list(r, "legalized", |r| {
+        Ok(LegalizedSnapshot {
+            strategy: decode_strategy(r)?,
+            qubit_placement: read_placement(r, "qubit placement")?,
             qubit_ns: r.u64()?,
-            cell_placement: r.placement("cell placement")?,
+            cell_placement: read_placement(r, "cell placement")?,
             cell_ns: r.u64()?,
-        });
-    }
-    let num_detailed = r.count("detailed")?;
-    let mut detailed = Vec::with_capacity(num_detailed.min(16));
-    for _ in 0..num_detailed {
-        detailed.push(DetailedSnapshot {
-            strategy: read_strategy(r)?,
-            detail: read_detail_config(r)?,
-            placement: r.placement("detailed placement")?,
+        })
+    })?;
+    let detailed = read_list(r, "detailed", |r| {
+        Ok(DetailedSnapshot {
+            strategy: decode_strategy(r)?,
+            detail: decode_detail(r)?,
+            placement: read_placement(r, "detailed placement")?,
             windows_processed: r.u64()?,
             windows_accepted: r.u64()?,
             elapsed_ns: r.u64()?,
-        });
-    }
+        })
+    })?;
     Ok(SessionSnapshot {
         topology,
         config,
@@ -642,10 +357,7 @@ pub fn decode(bytes: &[u8]) -> Result<Snapshot, SnapshotError> {
     if r.take(8)? != MAGIC {
         return Err(SnapshotError::BadMagic);
     }
-    let version = {
-        let b = r.take(4)?;
-        u32::from_le_bytes(b.try_into().expect("4-byte slice"))
-    };
+    let version = u32::from_le_bytes(r.take(4)?.try_into().expect("4-byte slice"));
     if version != VERSION {
         return Err(SnapshotError::UnsupportedVersion(version));
     }
@@ -665,28 +377,40 @@ pub fn decode(bytes: &[u8]) -> Result<Snapshot, SnapshotError> {
     }
 
     let mut r = Reader::new(payload);
-    let num_sessions = r.count("session")?;
-    let mut sessions = Vec::with_capacity(num_sessions.min(1024));
-    for _ in 0..num_sessions {
-        sessions.push(read_session(&mut r)?);
-    }
+    let sessions = read_list(&mut r, "session", read_session)?;
     if !r.is_done() {
         return Err(SnapshotError::Malformed("trailing payload bytes".into()));
     }
     Ok(Snapshot { sessions })
 }
 
-/// Writes `snapshot` to `path` atomically (temp file + rename).
+/// Writes `snapshot` to `path` atomically and durably: the bytes go to
+/// `<path>.tmp` beside it and are synced to disk before the rename, and the
+/// directory after it, so a crash leaves either the old snapshot or the new
+/// one, never a partial file.
 ///
 /// # Errors
 ///
 /// Returns [`SnapshotError::Io`] on filesystem failures.
 pub fn save(path: &Path, snapshot: &Snapshot) -> Result<(), SnapshotError> {
-    let bytes = encode(snapshot);
-    let tmp = path.with_extension("tmp");
-    std::fs::write(&tmp, &bytes)?;
+    let tmp = temp_path(path);
+    let mut file = File::create(&tmp)?;
+    file.write_all(&encode(snapshot))?;
+    file.sync_all()?;
+    drop(file);
     std::fs::rename(&tmp, path)?;
+    // The rename is durable only once the directory holding it is synced.
+    let dir = path.parent().filter(|d| !d.as_os_str().is_empty());
+    File::open(dir.unwrap_or(Path::new(".")))?.sync_all()?;
     Ok(())
+}
+
+/// The temp file [`save`] writes first: `path` with `.tmp` appended to its
+/// whole file name, so `cache.a` and `cache.b` never share one.
+fn temp_path(path: &Path) -> PathBuf {
+    let mut tmp = path.as_os_str().to_owned();
+    tmp.push(".tmp");
+    PathBuf::from(tmp)
 }
 
 /// Reads and decodes the snapshot at `path`.
@@ -849,12 +573,21 @@ mod tests {
     #[test]
     fn save_and_load_round_trip_through_a_file() {
         let snapshot = sample();
-        let dir = std::env::temp_dir().join("qgdp-serve-snapshot-test");
+        let dir =
+            std::env::temp_dir().join(format!("qgdp-serve-snapshot-test-{}", std::process::id()));
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join("cache.qgdpsnap");
         save(&path, &snapshot).unwrap();
         assert_eq!(load(&path).unwrap(), snapshot);
-        std::fs::remove_file(&path).unwrap();
+        assert!(!temp_path(&path).exists(), "the temp file is renamed away");
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn sibling_snapshots_use_distinct_temp_files() {
+        let (a, b) = (Path::new("dir/cache.a"), Path::new("dir/cache.b"));
+        assert_eq!(temp_path(a), Path::new("dir/cache.a.tmp"));
+        assert_ne!(temp_path(a), temp_path(b));
     }
 
     #[test]
