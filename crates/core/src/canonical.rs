@@ -33,7 +33,7 @@ use std::fmt;
 const MAX_COUNT: u64 = 16_000_000;
 
 /// Why a byte sequence did not decode.  Decoding never panics.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, PartialEq, Eq)]
 pub enum CodecError {
     /// The input ended before the structure it promised.
     Truncated,
