@@ -52,14 +52,14 @@ fn bench_full_flow(c: &mut Criterion) {
             &topo,
             |b, topo| {
                 b.iter(|| {
-                    run_flow(
-                        topo,
-                        LegalizationStrategy::Qgdp,
-                        &FlowConfig::default()
-                            .with_seed(EXPERIMENT_SEED)
-                            .with_detailed_placement(true),
-                    )
-                    .expect("flow succeeds")
+                    Session::new(topo, FlowConfig::default().with_seed(EXPERIMENT_SEED))
+                        .and_then(|session| {
+                            session.run(FlowRequest::detailed(
+                                LegalizationStrategy::Qgdp,
+                                DetailedPlacerConfig::new(),
+                            ))
+                        })
+                        .expect("flow succeeds")
                 });
             },
         );

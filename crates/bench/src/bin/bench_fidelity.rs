@@ -12,17 +12,17 @@
 //! `QGDP_BENCH_REPS` (fastest rep is reported, criterion-style).
 
 use qgdp::prelude::*;
+use qgdp_bench::harness::{self, best_of};
 use qgdp_bench::{fig8_series, mappings_per_benchmark, Fig8Series};
 use std::time::Instant;
 
 fn sweep(topologies: &[StandardTopology], mappings: usize, reps: usize) -> (Vec<Fig8Series>, f64) {
-    let mut best_ms = f64::INFINITY;
     let mut series = Vec::new();
-    for _ in 0..reps.max(1) {
+    let best_ms = best_of(reps, || {
         let start = Instant::now();
         series = fig8_series(topologies, mappings);
-        best_ms = best_ms.min(start.elapsed().as_secs_f64() * 1e3);
-    }
+        start.elapsed().as_secs_f64() * 1e3
+    });
     (series, best_ms)
 }
 
@@ -35,22 +35,8 @@ fn series_bits(series: &[Fig8Series]) -> Vec<u64> {
 
 fn main() {
     let mappings = mappings_per_benchmark();
-    let reps = std::env::var("QGDP_BENCH_REPS")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(3);
-    let all = StandardTopology::all();
-    let topologies: Vec<StandardTopology> = match std::env::var("QGDP_BENCH_TOPOLOGIES") {
-        Ok(names) => names
-            .split(',')
-            .map(|name| {
-                *all.iter()
-                    .find(|t| t.name().eq_ignore_ascii_case(name.trim()))
-                    .unwrap_or_else(|| panic!("unknown topology {name:?}"))
-            })
-            .collect(),
-        Err(_) => all.to_vec(),
-    };
+    let reps = harness::reps(3);
+    let topologies = harness::topologies(&StandardTopology::all());
 
     // Worker count for the parallel leg: a pre-set QGDP_THREADS wins; otherwise the
     // machine's available parallelism, but at least 4 workers so the pool path is
@@ -79,15 +65,12 @@ fn main() {
         .iter()
         .map(|t| format!("\"{}\"", t.name()))
         .collect();
-    let host_cpus = std::thread::available_parallelism().map_or(1, |n| n.get());
+    let host_cpus = harness::host_cpus();
     let json = format!(
         "{{\n  \"benchmark\": \"fig8 fidelity sweep (strategy fan-out + mapping-set worker pool)\",\n  \"topologies\": [{}],\n  \"mappings_per_benchmark\": {mappings},\n  \"reps\": {reps},\n  \"threads\": {threads},\n  \"host_cpus\": {host_cpus},\n  \"serial_ms\": {serial_ms:.1},\n  \"parallel_ms\": {parallel_ms:.1},\n  \"speedup\": {speedup:.2},\n  \"bit_identical\": {identical}\n}}\n",
         topology_names.join(", ")
     );
-    let out_path =
-        std::env::var("QGDP_BENCH_OUT").unwrap_or_else(|_| "BENCH_fidelity.json".to_string());
-    std::fs::write(&out_path, &json).unwrap_or_else(|e| panic!("cannot write {out_path}: {e}"));
-    println!("{json}");
+    let out_path = harness::write_record("BENCH_fidelity.json", &json);
     println!(
         "serial {serial_ms:.1} ms -> parallel {parallel_ms:.1} ms on {threads} threads \
          ({speedup:.2}x, bit-identical), recorded in {out_path}"

@@ -1,5 +1,5 @@
-//! Measures the staged [`Session`] batch path against independent `run_flow` calls
-//! and records the result in `BENCH_flow.json`.
+//! Measures the staged [`Session`] batch path against one fresh session per
+//! strategy and records the result in `BENCH_flow.json`.
 //!
 //! ```bash
 //! cargo run --release -p qgdp-bench --bin bench_flow
@@ -8,15 +8,15 @@
 //! For every benched topology the five-strategy matrix (Table II / Figs. 8–9 shape)
 //! is produced two ways on identical inputs:
 //!
-//! * **independent** — five separate [`run_flow`] calls, each paying its own
-//!   netlist build, global placement and eager reports (the pre-Session API cost);
+//! * **independent** — five fresh [`Session::run`] calls, each paying its own
+//!   netlist build, global placement, GP report and legalized report;
 //! * **session** — one [`Session`] whose single [`GlobalPlacement`] artifact is
-//!   fanned over the strategies by [`Session::run_matrix`] on the `QGDP_THREADS`
+//!   fanned over the strategies by [`Session::try_run_matrix`] on the `QGDP_THREADS`
 //!   worker pool, with the shared GP report computed once and per-strategy reports
 //!   forced afterwards (so both legs deliver the same data).
 //!
 //! Before timing, the binary asserts the session artifacts are **bit-identical** to
-//! the `run_flow` results (placements and reports), and that the batch path is
+//! the fresh per-strategy runs (placements and reports), and that the batch path is
 //! bit-identical between 1 worker and a multi-worker pool.  A **fault-injection
 //! scenario** then poisons one strategy of the five-strategy matrix via
 //! [`FaultInjection`] and asserts the four surviving strategies still return
@@ -28,6 +28,7 @@
 
 use qgdp::prelude::*;
 use qgdp_bench::experiment_config;
+use qgdp_bench::harness::{self, best_of, time_ms};
 use std::time::Instant;
 
 /// One measured topology row.
@@ -46,35 +47,38 @@ impl Record {
     }
 }
 
-fn best_of<F: FnMut() -> f64>(reps: usize, mut run: F) -> f64 {
-    (0..reps.max(1))
-        .map(|_| run())
-        .fold(f64::INFINITY, f64::min)
+/// Every request of a batch succeeds: the artifacts in request order.
+fn all_ok(results: Vec<Result<FlowArtifact, FlowError>>, what: &str) -> Vec<FlowArtifact> {
+    results
+        .into_iter()
+        .collect::<Result<_, _>>()
+        .unwrap_or_else(|e| panic!("{what}: {e}"))
 }
 
-/// Asserts the staged artifacts equal the monolithic results bit for bit, and that
-/// the batch fan-out is worker-count-invariant.
+/// One strategy in a fresh session: its own netlist build and GP run.
+fn independent_run(topo: &Topology, strategy: LegalizationStrategy) -> FlowArtifact {
+    Session::new(topo, experiment_config())
+        .and_then(|session| session.run(FlowRequest::legalize(strategy)))
+        .unwrap_or_else(|e| panic!("{strategy} failed on {topo}: {e}"))
+}
+
+/// Asserts the batched artifacts equal fresh per-strategy runs bit for bit, and
+/// that the batch fan-out is worker-count-invariant.
 fn verify_bit_identity(topology: StandardTopology, strategies: &[LegalizationStrategy]) {
     let topo = topology.build();
     let session = Session::new(&topo, experiment_config()).expect("session builds");
-    let serial = session
-        .run_batch_with_threads(
-            &strategies
-                .iter()
-                .map(|&s| FlowRequest::legalize(s))
-                .collect::<Vec<_>>(),
-            1,
-        )
-        .expect("serial batch succeeds");
-    let parallel = session
-        .run_batch_with_threads(
-            &strategies
-                .iter()
-                .map(|&s| FlowRequest::legalize(s))
-                .collect::<Vec<_>>(),
-            4,
-        )
-        .expect("parallel batch succeeds");
+    let requests: Vec<FlowRequest> = strategies
+        .iter()
+        .map(|&s| FlowRequest::legalize(s))
+        .collect();
+    let serial = all_ok(
+        session.try_run_batch_with_threads(&requests, 1),
+        "serial batch",
+    );
+    let parallel = all_ok(
+        session.try_run_batch_with_threads(&requests, 4),
+        "parallel batch",
+    );
     for ((&strategy, a), b) in strategies.iter().zip(&serial).zip(&parallel) {
         assert_eq!(
             a.final_placement(),
@@ -86,22 +90,21 @@ fn verify_bit_identity(topology: StandardTopology, strategies: &[LegalizationStr
             b.report(),
             "{topology}/{strategy}: batch reports must be worker-count invariant"
         );
-        let mono = run_flow(&topo, strategy, &experiment_config())
-            .unwrap_or_else(|e| panic!("{strategy} failed on {topology}: {e}"));
+        let fresh = independent_run(&topo, strategy);
         assert_eq!(
             a.legalized().global().placement(),
-            &mono.gp_placement,
+            fresh.legalized().global().placement(),
             "{topology}/{strategy}: shared GP must equal the per-flow GP"
         );
         assert_eq!(
             a.final_placement(),
-            &mono.legalized,
-            "{topology}/{strategy}: staged layout must equal run_flow"
+            fresh.final_placement(),
+            "{topology}/{strategy}: staged layout must equal a fresh session run"
         );
         assert_eq!(
             a.report(),
-            &mono.legalized_report,
-            "{topology}/{strategy}: staged report must equal run_flow"
+            fresh.report(),
+            "{topology}/{strategy}: staged report must equal a fresh session run"
         );
     }
 }
@@ -119,9 +122,10 @@ fn fault_injection_scenario(topology: StandardTopology) -> String {
         .collect();
 
     let clean = Session::new(&topo, experiment_config()).expect("session builds");
-    let baseline = clean
-        .run_batch_with_threads(&requests, 1)
-        .expect("all-success batch");
+    let baseline = all_ok(
+        clean.try_run_batch_with_threads(&requests, 1),
+        "all-success batch",
+    );
 
     let fault = FaultInjection {
         fail_legalization: Some(poisoned_strategy),
@@ -184,16 +188,16 @@ fn bench_topology(
     let topo = topology.build();
     verify_bit_identity(topology, strategies);
 
-    // Independent leg: one full run_flow per strategy (netlist + GP + eager reports
-    // paid five times).
+    // Independent leg: one fresh session per strategy (netlist + GP + both
+    // reports paid five times).
     let independent_ms = best_of(reps, || {
-        let start = Instant::now();
-        for &strategy in strategies {
-            let result = run_flow(&topo, strategy, &experiment_config())
-                .unwrap_or_else(|e| panic!("{strategy} failed on {topology}: {e}"));
-            std::hint::black_box(&result.legalized_report);
-        }
-        start.elapsed().as_secs_f64() * 1e3
+        time_ms(|| {
+            for &strategy in strategies {
+                let artifact = independent_run(&topo, strategy);
+                std::hint::black_box(artifact.legalized().global().report());
+                std::hint::black_box(artifact.report());
+            }
+        })
     });
 
     // Session leg: one netlist build, one GP, batched legalizations, shared GP
@@ -202,9 +206,7 @@ fn bench_topology(
     let session_ms = best_of(reps, || {
         let start = Instant::now();
         let session = Session::new(&topo, experiment_config()).expect("session builds");
-        let artifacts = session
-            .run_matrix(strategies, &[None])
-            .expect("matrix succeeds");
+        let artifacts = all_ok(session.try_run_matrix(strategies, &[None]), "matrix");
         for artifact in &artifacts {
             std::hint::black_box(artifact.report());
         }
@@ -216,9 +218,7 @@ fn bench_topology(
     // every rep after the first (and hence the best-of) a ~0 ms cache hit.
     let gp_ms = best_of(reps, || {
         let session = Session::new(&topo, experiment_config()).expect("session builds");
-        let start = Instant::now();
-        std::hint::black_box(session.global_place());
-        start.elapsed().as_secs_f64() * 1e3
+        time_ms(|| session.global_place())
     });
 
     let session = Session::new(&topo, experiment_config()).expect("session builds");
@@ -234,27 +234,8 @@ fn bench_topology(
 }
 
 fn main() {
-    let reps = std::env::var("QGDP_BENCH_REPS")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(5);
-    let default_panel = [
-        StandardTopology::Grid,
-        StandardTopology::Falcon,
-        StandardTopology::Eagle,
-    ];
-    let all = StandardTopology::all();
-    let topologies: Vec<StandardTopology> = match std::env::var("QGDP_BENCH_TOPOLOGIES") {
-        Ok(names) => names
-            .split(',')
-            .map(|name| {
-                *all.iter()
-                    .find(|t| t.name().eq_ignore_ascii_case(name.trim()))
-                    .unwrap_or_else(|| panic!("unknown topology {name:?}"))
-            })
-            .collect(),
-        Err(_) => default_panel.to_vec(),
-    };
+    let reps = harness::reps(5);
+    let topologies = harness::topologies(&harness::DEFAULT_PANEL);
     let strategies = LegalizationStrategy::all();
 
     let records: Vec<Record> = topologies
@@ -267,6 +248,7 @@ fn main() {
         if !rows.is_empty() {
             rows.push_str(",\n");
         }
+        // `independent_run_flow_ms` keeps its name: scripts/bench_gate reads it.
         rows.push_str(&format!(
             "    {{ \"topology\": \"{}\", \"components\": {}, \"strategies\": {}, \
              \"independent_run_flow_ms\": {:.2}, \"session_matrix_ms\": {:.2}, \
@@ -287,17 +269,14 @@ fn main() {
         rows.push_str(",\n");
     }
     rows.push_str(&fault_row);
-    let host_cpus = std::thread::available_parallelism().map_or(1, |n| n.get());
+    let host_cpus = harness::host_cpus();
     let threads = worker_threads();
     let json = format!(
         "{{\n  \"benchmark\": \"five-strategy matrix: staged Session batch (shared GP \
-         warm start) vs independent run_flow calls\",\n  \"reps\": {reps},\n  \
+         warm start) vs one fresh Session::run per strategy\",\n  \"reps\": {reps},\n  \
          \"threads\": {threads},\n  \"host_cpus\": {host_cpus},\n  \"records\": [\n{rows}\n  ]\n}}\n"
     );
-    let out_path =
-        std::env::var("QGDP_BENCH_OUT").unwrap_or_else(|_| "BENCH_flow.json".to_string());
-    std::fs::write(&out_path, &json).unwrap_or_else(|e| panic!("cannot write {out_path}: {e}"));
-    println!("{json}");
+    let out_path = harness::write_record("BENCH_flow.json", &json);
     for r in &records {
         println!(
             "{:>8} ({} strategies): {:>8.2}ms -> {:>7.2}ms ({:.2}x, one {:.2}ms GP \

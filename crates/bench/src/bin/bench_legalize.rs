@@ -23,9 +23,9 @@
 
 use qgdp::legalize::{legalize_macros, legalize_macros_reference, macros_are_legal};
 use qgdp::prelude::*;
+use qgdp_bench::harness::{self, best_of, time_ms};
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
-use std::time::Instant;
 
 /// One measured workload.
 struct Record {
@@ -42,18 +42,6 @@ impl Record {
     fn speedup(&self) -> f64 {
         self.reference_ms / self.optimized_ms
     }
-}
-
-fn best_of<F: FnMut() -> f64>(reps: usize, mut run: F) -> f64 {
-    (0..reps.max(1))
-        .map(|_| run())
-        .fold(f64::INFINITY, f64::min)
-}
-
-fn time_ms<T, F: FnMut() -> T>(mut run: F) -> f64 {
-    let start = Instant::now();
-    std::hint::black_box(run());
-    start.elapsed().as_secs_f64() * 1e3
 }
 
 /// GP input for one topology: the session and its GP artifact (cheap Arc-shared
@@ -184,27 +172,8 @@ fn bench_synthetic(n: usize, reps: usize) -> Record {
 }
 
 fn main() {
-    let reps = std::env::var("QGDP_BENCH_REPS")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(5);
-    let default_panel = [
-        StandardTopology::Grid,
-        StandardTopology::Falcon,
-        StandardTopology::Eagle,
-    ];
-    let all = StandardTopology::all();
-    let topologies: Vec<StandardTopology> = match std::env::var("QGDP_BENCH_TOPOLOGIES") {
-        Ok(names) => names
-            .split(',')
-            .map(|name| {
-                *all.iter()
-                    .find(|t| t.name().eq_ignore_ascii_case(name.trim()))
-                    .unwrap_or_else(|| panic!("unknown topology {name:?}"))
-            })
-            .collect(),
-        Err(_) => default_panel.to_vec(),
-    };
+    let reps = harness::reps(5);
+    let topologies = harness::topologies(&harness::DEFAULT_PANEL);
 
     let mut records = Vec::new();
     for &topology in &topologies {
@@ -234,16 +203,13 @@ fn main() {
             r.speedup(),
         ));
     }
-    let host_cpus = std::thread::available_parallelism().map_or(1, |n| n.get());
+    let host_cpus = harness::host_cpus();
     let json = format!(
         "{{\n  \"benchmark\": \"qubit legalization + overlap stats: spatial index / \
          sweepline vs O(n^2) reference\",\n  \"reps\": {reps},\n  \
          \"host_cpus\": {host_cpus},\n  \"records\": [\n{rows}\n  ]\n}}\n"
     );
-    let out_path =
-        std::env::var("QGDP_BENCH_OUT").unwrap_or_else(|_| "BENCH_legalize.json".to_string());
-    std::fs::write(&out_path, &json).unwrap_or_else(|e| panic!("cannot write {out_path}: {e}"));
-    println!("{json}");
+    let out_path = harness::write_record("BENCH_legalize.json", &json);
     for r in &records {
         println!(
             "{:>18} {:>14} (n={:>5}): {:>9.3}ms -> {:>8.3}ms ({:.2}x, bit-identical)",

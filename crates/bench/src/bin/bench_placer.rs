@@ -15,8 +15,8 @@
 //! reported, criterion-style).
 
 use qgdp::prelude::*;
+use qgdp_bench::harness::{self, best_of, time_ms};
 use qgdp_placer::hpwl;
-use std::time::Instant;
 
 /// One measured topology × net-model cell.
 struct Record {
@@ -43,12 +43,6 @@ impl Record {
     }
 }
 
-fn best_of<F: FnMut() -> f64>(reps: usize, mut run: F) -> f64 {
-    (0..reps.max(1))
-        .map(|_| run())
-        .fold(f64::INFINITY, f64::min)
-}
-
 fn bench_cell(
     topology: StandardTopology,
     model: NetModel,
@@ -68,16 +62,8 @@ fn bench_cell(
     let cfg = GlobalPlacerConfig::default();
     let placer = GlobalPlacer::new(cfg);
 
-    let optimized_ms = best_of(reps, || {
-        let start = Instant::now();
-        std::hint::black_box(placer.place(netlist, topo));
-        start.elapsed().as_secs_f64() * 1e3
-    });
-    let reference_ms = best_of(reps, || {
-        let start = Instant::now();
-        std::hint::black_box(placer.place_reference(netlist, topo));
-        start.elapsed().as_secs_f64() * 1e3
-    });
+    let optimized_ms = best_of(reps, || time_ms(|| placer.place(netlist, topo)));
+    let reference_ms = best_of(reps, || time_ms(|| placer.place_reference(netlist, topo)));
 
     let optimized = placer.place(netlist, topo);
     let reference = placer.place_reference(netlist, topo);
@@ -109,27 +95,8 @@ fn bench_cell(
 }
 
 fn main() {
-    let reps = std::env::var("QGDP_BENCH_REPS")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(5);
-    let default_panel = [
-        StandardTopology::Grid,
-        StandardTopology::Falcon,
-        StandardTopology::Eagle,
-    ];
-    let all = StandardTopology::all();
-    let topologies: Vec<StandardTopology> = match std::env::var("QGDP_BENCH_TOPOLOGIES") {
-        Ok(names) => names
-            .split(',')
-            .map(|name| {
-                *all.iter()
-                    .find(|t| t.name().eq_ignore_ascii_case(name.trim()))
-                    .unwrap_or_else(|| panic!("unknown topology {name:?}"))
-            })
-            .collect(),
-        Err(_) => default_panel.to_vec(),
-    };
+    let reps = harness::reps(5);
+    let topologies = harness::topologies(&harness::DEFAULT_PANEL);
 
     let mut records = Vec::new();
     for &topology in &topologies {
@@ -159,16 +126,13 @@ fn main() {
             r.hpwl_rel_diff,
         ));
     }
-    let host_cpus = std::thread::available_parallelism().map_or(1, |n| n.get());
+    let host_cpus = harness::host_cpus();
     let json = format!(
         "{{\n  \"benchmark\": \"global placement: compiled star-net forces + \
          incremental density vs reference rebuild\",\n  \"reps\": {reps},\n  \
          \"host_cpus\": {host_cpus},\n  \"records\": [\n{rows}\n  ]\n}}\n"
     );
-    let out_path =
-        std::env::var("QGDP_BENCH_OUT").unwrap_or_else(|_| "BENCH_placer.json".to_string());
-    std::fs::write(&out_path, &json).unwrap_or_else(|e| panic!("cannot write {out_path}: {e}"));
-    println!("{json}");
+    let out_path = harness::write_record("BENCH_placer.json", &json);
     for r in &records {
         println!(
             "{:>8} {:>11}: {:>7.2}ms -> {:>6.2}ms ({:.2}x, {:.0} -> {:.0} iters/s, \

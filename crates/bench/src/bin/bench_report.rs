@@ -44,6 +44,7 @@ use qgdp::metrics::{
 };
 use qgdp::prelude::*;
 use qgdp_bench::experiment_config;
+use qgdp_bench::harness::{self, best_of, time_ms};
 use qgdp_geometry::Point;
 use qgdp_netlist::{ComponentGeometry, ComponentId, NetlistBuilder, Placement, QuantumNetlist};
 use rand::{Rng, SeedableRng};
@@ -67,12 +68,6 @@ impl Record {
     fn speedup(&self) -> f64 {
         self.reference_ms / self.optimized_ms
     }
-}
-
-fn best_of<F: FnMut() -> f64>(reps: usize, mut run: F) -> f64 {
-    (0..reps.max(1))
-        .map(|_| run())
-        .fold(f64::INFINITY, f64::min)
 }
 
 /// The legalized qGDP layout of one topology — the placement every record measures on.
@@ -179,15 +174,9 @@ fn bench_topology(topology: StandardTopology, reps: usize) -> Vec<Record> {
     };
 
     // --- crossings: indexed detector vs pairwise reference.
-    let crossings_opt = best_of(reps, || {
-        let start = Instant::now();
-        std::hint::black_box(crossing_pairs(netlist, &placement));
-        start.elapsed().as_secs_f64() * 1e3
-    });
+    let crossings_opt = best_of(reps, || time_ms(|| crossing_pairs(netlist, &placement)));
     let crossings_ref = best_of(reps, || {
-        let start = Instant::now();
-        std::hint::black_box(crossing_pairs_reference(netlist, &placement));
-        start.elapsed().as_secs_f64() * 1e3
+        time_ms(|| crossing_pairs_reference(netlist, &placement))
     });
 
     // --- report-scan-cache: report + fidelity evaluator off one shared scan vs
@@ -294,15 +283,9 @@ fn bench_synthetic_crossings(n: usize, reps: usize) -> Record {
         "synthetic-{n}: indexed crossing detector must match the reference"
     );
 
-    let optimized_ms = best_of(reps, || {
-        let start = Instant::now();
-        std::hint::black_box(crossing_pairs(&netlist, &placement));
-        start.elapsed().as_secs_f64() * 1e3
-    });
+    let optimized_ms = best_of(reps, || time_ms(|| crossing_pairs(&netlist, &placement)));
     let reference_ms = best_of(reps, || {
-        let start = Instant::now();
-        std::hint::black_box(crossing_pairs_reference(&netlist, &placement));
-        start.elapsed().as_secs_f64() * 1e3
+        time_ms(|| crossing_pairs_reference(&netlist, &placement))
     });
     Record {
         kind: "crossings-synthetic",
@@ -315,27 +298,8 @@ fn bench_synthetic_crossings(n: usize, reps: usize) -> Record {
 }
 
 fn main() {
-    let reps = std::env::var("QGDP_BENCH_REPS")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(5);
-    let default_panel = [
-        StandardTopology::Grid,
-        StandardTopology::Falcon,
-        StandardTopology::Eagle,
-    ];
-    let all = StandardTopology::all();
-    let topologies: Vec<StandardTopology> = match std::env::var("QGDP_BENCH_TOPOLOGIES") {
-        Ok(names) => names
-            .split(',')
-            .map(|name| {
-                *all.iter()
-                    .find(|t| t.name().eq_ignore_ascii_case(name.trim()))
-                    .unwrap_or_else(|| panic!("unknown topology {name:?}"))
-            })
-            .collect(),
-        Err(_) => default_panel.to_vec(),
-    };
+    let reps = harness::reps(5);
+    let topologies = harness::topologies(&harness::DEFAULT_PANEL);
 
     let mut records: Vec<Record> = topologies
         .iter()
@@ -364,16 +328,13 @@ fn main() {
             r.speedup(),
         ));
     }
-    let host_cpus = std::thread::available_parallelism().map_or(1, |n| n.get());
+    let host_cpus = harness::host_cpus();
     let json = format!(
         "{{\n  \"benchmark\": \"incremental metrics engine: indexed crossings, shared \
          layout scans and delta reports vs from-scratch reference paths\",\n  \
          \"reps\": {reps},\n  \"host_cpus\": {host_cpus},\n  \"records\": [\n{rows}\n  ]\n}}\n"
     );
-    let out_path =
-        std::env::var("QGDP_BENCH_OUT").unwrap_or_else(|_| "BENCH_report.json".to_string());
-    std::fs::write(&out_path, &json).unwrap_or_else(|e| panic!("cannot write {out_path}: {e}"));
-    println!("{json}");
+    let out_path = harness::write_record("BENCH_report.json", &json);
     for r in &records {
         println!(
             "{:>8} / {:<18} {:>9.3}ms -> {:>8.3}ms ({:.2}x, bit-identical)",

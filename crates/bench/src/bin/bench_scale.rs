@@ -40,7 +40,7 @@ use qgdp::prelude::*;
 use qgdp::topology::{
     distance_settings_from_env, multi_chip, resolve_tier, roadmap_heavy_hex, DistanceTier, Topology,
 };
-use std::time::Instant;
+use qgdp_bench::harness::{self, best_of, time_ms};
 
 /// One measured (size, stage) point.
 struct ScaleRow {
@@ -64,18 +64,6 @@ struct DistanceRow {
     tier: DistanceTier,
     dense_materialized: bool,
     rows_materialized: usize,
-}
-
-fn best_of<F: FnMut() -> f64>(reps: usize, mut run: F) -> f64 {
-    (0..reps.max(1))
-        .map(|_| run())
-        .fold(f64::INFINITY, f64::min)
-}
-
-fn time_ms<T, F: FnMut() -> T>(mut run: F) -> f64 {
-    let start = Instant::now();
-    std::hint::black_box(run());
-    start.elapsed().as_secs_f64() * 1e3
 }
 
 /// Least-squares slope of ln(y) on ln(x).  Points with non-positive wall clock
@@ -248,10 +236,7 @@ fn attest_distances(topology: &Topology) -> DistanceRow {
 }
 
 fn main() {
-    let reps: usize = std::env::var("QGDP_BENCH_REPS")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(3);
+    let reps = harness::reps(3);
     let reference_ceiling: usize = std::env::var("QGDP_SCALE_REFERENCE_CEILING")
         .ok()
         .and_then(|v| v.parse().ok())
@@ -348,16 +333,13 @@ fn main() {
              \"points\": {points}, \"min_size\": {min}, \"max_size\": {max} }}"
         ));
     }
-    let host_cpus = std::thread::available_parallelism().map_or(1, |n| n.get());
+    let host_cpus = harness::host_cpus();
     let json = format!(
         "{{\n  \"benchmark\": \"roadmap-scale wall-clock curves: staged flow on \
          heavy-hex 1k..10k devices, log-log slope per stage\",\n  \"reps\": {reps},\n  \
          \"host_cpus\": {host_cpus},\n  \"records\": [\n{out}\n  ]\n}}\n"
     );
-    let out_path =
-        std::env::var("QGDP_BENCH_OUT").unwrap_or_else(|_| "BENCH_scale.json".to_string());
-    std::fs::write(&out_path, &json).unwrap_or_else(|e| panic!("cannot write {out_path}: {e}"));
-    println!("{json}");
+    let out_path = harness::write_record("BENCH_scale.json", &json);
     for (stage, slope, points, min, max) in &slopes {
         println!("{stage:>12}: slope {slope:+.3} over {points} sizes ({min}..{max})");
     }

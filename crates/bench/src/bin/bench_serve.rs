@@ -34,6 +34,7 @@
 use qgdp::prelude::*;
 use qgdp::{placement_fingerprint, DetailedPlacerConfig};
 use qgdp_bench::experiment_config;
+use qgdp_bench::harness::{self, percentile};
 use qgdp_serve::engine::{JobRequest, ServeEngine, DEFAULT_QUEUE_DEPTH};
 use qgdp_serve::store::StoreConfig;
 use std::sync::Arc;
@@ -122,15 +123,6 @@ fn verify_bit_identity(topology: StandardTopology, requests: &[JobRequest]) {
     }
 }
 
-/// Nearest-rank percentile over an unsorted latency pool.
-fn percentile(samples: &[f64], q: f64) -> f64 {
-    assert!(!samples.is_empty(), "empty latency pool");
-    let mut sorted = samples.to_vec();
-    sorted.sort_by(f64::total_cmp);
-    let rank = ((sorted.len() - 1) as f64 * q).round() as usize;
-    sorted[rank]
-}
-
 fn bench_topology(topology: StandardTopology, reps: usize) -> Record {
     let topo = Arc::new(topology.build());
     let requests = request_mix(&topo);
@@ -172,27 +164,8 @@ fn bench_topology(topology: StandardTopology, reps: usize) -> Record {
 }
 
 fn main() {
-    let reps = std::env::var("QGDP_BENCH_REPS")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(5);
-    let default_panel = [
-        StandardTopology::Grid,
-        StandardTopology::Falcon,
-        StandardTopology::Eagle,
-    ];
-    let all = StandardTopology::all();
-    let topologies: Vec<StandardTopology> = match std::env::var("QGDP_BENCH_TOPOLOGIES") {
-        Ok(names) => names
-            .split(',')
-            .map(|name| {
-                *all.iter()
-                    .find(|t| t.name().eq_ignore_ascii_case(name.trim()))
-                    .unwrap_or_else(|| panic!("unknown topology {name:?}"))
-            })
-            .collect(),
-        Err(_) => default_panel.to_vec(),
-    };
+    let reps = harness::reps(5);
+    let topologies = harness::topologies(&harness::DEFAULT_PANEL);
 
     let records: Vec<Record> = topologies
         .iter()
@@ -221,16 +194,13 @@ fn main() {
             r.speedup(),
         ));
     }
-    let host_cpus = std::thread::available_parallelism().map_or(1, |n| n.get());
+    let host_cpus = harness::host_cpus();
     let json = format!(
         "{{\n  \"benchmark\": \"serving layer: content-addressed artifact cache (warm \
          Arc-shared hits) vs the cold staged compute path, per-request latency\",\n  \
          \"reps\": {reps},\n  \"host_cpus\": {host_cpus},\n  \"records\": [\n{rows}\n  ]\n}}\n"
     );
-    let out_path =
-        std::env::var("QGDP_BENCH_OUT").unwrap_or_else(|_| "BENCH_serve.json".to_string());
-    std::fs::write(&out_path, &json).unwrap_or_else(|e| panic!("cannot write {out_path}: {e}"));
-    println!("{json}");
+    let out_path = harness::write_record("BENCH_serve.json", &json);
     for r in &records {
         println!(
             "{:>8} cold p50 {:>9.4}ms p99 {:>9.4}ms | warm p50 {:>8.4}ms p99 {:>8.4}ms ({:.0}x, bit-identical)",

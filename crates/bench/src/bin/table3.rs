@@ -21,7 +21,10 @@ use qgdp_bench::run_strategy;
 fn run_all_topologies() -> Vec<(StandardTopology, FlowArtifact)> {
     let topologies = StandardTopology::all();
     let results = parallel_map(&topologies, worker_threads(), |&topology| {
-        run_strategy(topology, LegalizationStrategy::Qgdp, true)
+        run_strategy(
+            topology,
+            FlowRequest::detailed(LegalizationStrategy::Qgdp, DetailedPlacerConfig::new()),
+        )
     });
     topologies.into_iter().zip(results).collect()
 }

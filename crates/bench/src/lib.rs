@@ -25,7 +25,9 @@
 //! `BENCH_fidelity.json`), `bench_placer` (optimized vs reference global placer →
 //! `BENCH_placer.json`), `bench_legalize` (spatial-index legalization vs O(n²)
 //! references → `BENCH_legalize.json`) and `bench_flow` (shared-GP
-//! [`qgdp::Session`] batch vs independent `run_flow` calls → `BENCH_flow.json`).
+//! [`qgdp::Session`] batch vs one fresh session per strategy → `BENCH_flow.json`).
+//! They share the [`harness`] module: repetition and topology-panel knobs,
+//! best-of timing, percentiles and the record writer.
 //!
 //! # Paper map
 //!
@@ -42,6 +44,7 @@
 use qgdp::prelude::*;
 
 pub mod figures;
+pub mod harness;
 
 pub use figures::{fig8_series, fig9_series, Fig8Series, Fig9Point};
 
@@ -80,26 +83,17 @@ pub fn experiment_session(topology: StandardTopology) -> Session {
         .unwrap_or_else(|e| panic!("session for {topology}: {e}"))
 }
 
-/// Runs one topology under one strategy with the shared experiment configuration,
-/// returning the terminal staged artifact.
+/// Runs one flow request on one topology with the shared experiment
+/// configuration, returning the terminal staged artifact.
 ///
 /// # Panics
 ///
 /// Panics if the flow fails (it never should for the standard topologies).
 #[must_use]
-pub fn run_strategy(
-    topology: StandardTopology,
-    strategy: LegalizationStrategy,
-    detailed_placement: bool,
-) -> FlowArtifact {
-    let session = Session::new(
-        &topology.build(),
-        experiment_config().with_detailed_placement(detailed_placement),
-    )
-    .unwrap_or_else(|e| panic!("session for {topology}: {e}"));
-    session
-        .run(strategy)
-        .unwrap_or_else(|e| panic!("{strategy} failed on {topology}: {e}"))
+pub fn run_strategy(topology: StandardTopology, request: FlowRequest) -> FlowArtifact {
+    experiment_session(topology)
+        .run(request)
+        .unwrap_or_else(|e| panic!("{} failed on {topology}: {e}", request.strategy))
 }
 
 /// Formats a fidelity value the way the paper's Fig. 8 prints it: values below `1e-4`
@@ -158,7 +152,10 @@ mod tests {
 
     #[test]
     fn run_strategy_produces_legal_layouts() {
-        let result = run_strategy(StandardTopology::Grid, LegalizationStrategy::Qgdp, false);
+        let result = run_strategy(
+            StandardTopology::Grid,
+            FlowRequest::legalize(LegalizationStrategy::Qgdp),
+        );
         assert!(result.is_legal());
         let f = benchmark_fidelity(&result, Benchmark::Bv4, 3);
         assert!(f > 0.0 && f <= 1.0);

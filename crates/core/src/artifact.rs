@@ -21,11 +21,9 @@
 //! pay for metrics, and callers that need several metric views of one placement pay
 //! for the layout walk exactly once.
 //!
-//! Wall-clock cost is traced per stage as [`StageEvent`]s ([`CellLegalized::events`]),
-//! from which the legacy [`StageTiming`] of the [`FlowResult`] compatibility shim is
-//! assembled.
+//! Wall-clock cost is traced per stage as [`StageEvent`]s ([`CellLegalized::events`]).
 
-use crate::pipeline::{FlowConfig, FlowResult, StageTiming};
+use crate::pipeline::FlowConfig;
 use crate::session::SessionContext;
 use crate::{DetailedPlacer, DetailedPlacerConfig, FlowError, LegalizationStrategy};
 use qgdp_circuits::{random_mappings, Benchmark};
@@ -75,8 +73,7 @@ impl fmt::Display for Stage {
 /// One wall-clock trace event: a pipeline stage and how long it ran.
 ///
 /// Artifacts accumulate the events of every stage that produced them (see
-/// [`CellLegalized::events`]); the [`StageTiming`] of the compatibility shim is a
-/// projection of these events.
+/// [`CellLegalized::events`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct StageEvent {
     /// Which stage ran.
@@ -545,17 +542,6 @@ impl CellLegalized {
         events
     }
 
-    /// The per-stage timings as the legacy [`StageTiming`] (no detailed placement).
-    #[must_use]
-    pub fn timing(&self) -> StageTiming {
-        StageTiming {
-            global_placement: self.global().elapsed(),
-            qubit_legalization: self.qubits.elapsed(),
-            resonator_legalization: self.event.duration,
-            detailed_placement: None,
-        }
-    }
-
     /// The one-pass layout scan of the legalized layout, computed lazily on first
     /// call and cached (shared across clones) — one scan feeds both
     /// [`CellLegalized::report`] and [`CellLegalized::mean_benchmark_fidelity`].
@@ -667,30 +653,6 @@ impl CellLegalized {
             scan: Arc::new(OnceLock::new()),
         }
     }
-
-    /// Assembles the legacy eager [`FlowResult`] view of this artifact (no detailed
-    /// placement).  Reports are forced; placements are copied out of the shared
-    /// handles.  The result is bit-identical to what [`crate::run_flow`] returns for
-    /// the same inputs.
-    #[must_use]
-    pub fn to_flow_result(&self) -> FlowResult {
-        let gp = self.global();
-        FlowResult {
-            topology: Arc::clone(&gp.ctx.topology),
-            strategy: self.strategy(),
-            netlist: Arc::clone(&gp.ctx.netlist),
-            die: self.die(),
-            gp_placement: gp.placement().clone(),
-            qubit_legalized: self.qubits.placement().clone(),
-            legalized: self.placement().clone(),
-            detailed: None,
-            timing: self.timing(),
-            crosstalk: self.config().crosstalk,
-            gp_report: gp.report().clone(),
-            legalized_report: self.report().clone(),
-            detailed_report: None,
-        }
-    }
 }
 
 /// The detailed-placement artifact (§III-E): wire blocks rerouted through windowed
@@ -769,15 +731,6 @@ impl Detailed {
         events
     }
 
-    /// The per-stage timings as the legacy [`StageTiming`].
-    #[must_use]
-    pub fn timing(&self) -> StageTiming {
-        StageTiming {
-            detailed_placement: Some(self.event.duration),
-            ..self.legalized.timing()
-        }
-    }
-
     /// The one-pass layout scan of the refined layout, computed lazily on first
     /// call and cached — one scan feeds both [`Detailed::report`] and
     /// [`Detailed::mean_benchmark_fidelity`].
@@ -837,20 +790,9 @@ impl Detailed {
             seed,
         )
     }
-
-    /// Assembles the legacy eager [`FlowResult`] view of this artifact.  Bit-identical
-    /// to [`crate::run_flow`] with detailed placement enabled on the same inputs.
-    #[must_use]
-    pub fn to_flow_result(&self) -> FlowResult {
-        let mut result = self.legalized.to_flow_result();
-        result.detailed = Some(self.placement().clone());
-        result.timing = self.timing();
-        result.detailed_report = Some(self.report().clone());
-        result
-    }
 }
 
-/// The terminal artifact of one batched flow request: the legalized layout, refined
+/// The terminal artifact of one flow request: the legalized layout, refined
 /// by detailed placement when the request asked for it.
 #[derive(Debug, Clone)]
 pub enum FlowArtifact {
@@ -933,15 +875,6 @@ impl FlowArtifact {
         }
     }
 
-    /// The per-stage timings as the legacy [`StageTiming`].
-    #[must_use]
-    pub fn timing(&self) -> StageTiming {
-        match self {
-            FlowArtifact::Legalized(cell) => cell.timing(),
-            FlowArtifact::Detailed(dp) => dp.timing(),
-        }
-    }
-
     /// Mean worst-case program fidelity of `benchmark` on the final layout (the
     /// Fig. 8 protocol).
     #[must_use]
@@ -959,15 +892,6 @@ impl FlowArtifact {
             FlowArtifact::Detailed(dp) => {
                 dp.mean_benchmark_fidelity(benchmark, mappings, noise, seed)
             }
-        }
-    }
-
-    /// Converts into the legacy eager [`FlowResult`] view.
-    #[must_use]
-    pub fn into_flow_result(self) -> FlowResult {
-        match self {
-            FlowArtifact::Legalized(cell) => cell.to_flow_result(),
-            FlowArtifact::Detailed(dp) => dp.to_flow_result(),
         }
     }
 }
@@ -1009,9 +933,9 @@ mod tests {
                 Stage::DetailedPlacement,
             ]
         );
-        let timing = dp.timing();
-        assert_eq!(timing.global_placement, gp.elapsed());
-        assert_eq!(timing.detailed_placement, Some(dp.elapsed()));
+        let events = dp.events();
+        assert_eq!(events[0].duration, gp.elapsed());
+        assert_eq!(events[3].duration, dp.elapsed());
     }
 
     #[test]

@@ -275,8 +275,6 @@ fn encode_flow_prefix(config: &FlowConfig, out: &mut Vec<u8>) {
         net_model,
         gp,
         crosstalk,
-        // Detail-on and detail-off requests share one GP and legalization.
-        detailed_placement: _,
         // Encoded per detailed artifact by `encode_detail`.
         detail: _,
         // Fault-injected configurations are never cached or snapshotted.
@@ -363,7 +361,6 @@ fn decode_flow_prefix(r: &mut Reader<'_>) -> Result<FlowConfig, CodecError> {
         gp,
         crosstalk: decode_crosstalk(r)?,
         // Outside the prefix (see `encode_flow_prefix`): the defaults.
-        detailed_placement: false,
         detail: DetailedPlacerConfig::new(),
         fault: FaultInjection::default(),
     })
@@ -484,7 +481,6 @@ pub(crate) mod tests {
                 seed: rng.gen_u64(0, u64::MAX),
             },
             crosstalk: any_crosstalk(rng),
-            detailed_placement: rng.gen_u64(0, 2) == 1,
             detail: any_detail(rng),
             fault: FaultInjection {
                 fail_legalization: any_strategy(rng),
@@ -507,7 +503,6 @@ pub(crate) mod tests {
     /// what a decode of its encoding must give back.
     pub(crate) fn prefix_only(config: &FlowConfig) -> FlowConfig {
         FlowConfig {
-            detailed_placement: false,
             detail: DetailedPlacerConfig::new(),
             fault: FaultInjection::default(),
             ..*config

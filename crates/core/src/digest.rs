@@ -144,9 +144,9 @@ impl ArtifactKey {
     }
 
     /// The GP-level (session) identity: the session tag byte followed by
-    /// [`canonical::encode_session`].  The detail config, the
-    /// `detailed_placement` flag and the fault hooks are *not* part of it:
-    /// they cannot change what a GP or legalization produces.
+    /// [`canonical::encode_session`].  The detail config and the fault hooks
+    /// are *not* part of it: they cannot change what a GP or legalization
+    /// produces.
     #[must_use]
     pub fn session(topology: &Topology, config: &FlowConfig) -> Self {
         let mut out = Vec::with_capacity(256);

@@ -26,9 +26,9 @@
 //! `QGDP_THREADS` worker pool with **per-request fault isolation**: a failing or
 //! panicking strategy poisons only its own requests (one contextful
 //! [`FlowError`] per poisoned slot), while every sibling still returns its
-//! artifact; [`Session::run_batch`] / [`Session::run_matrix`] are all-or-nothing
-//! shims over the same engine.  The monolithic [`run_flow`] survives as a thin,
-//! bit-identical compatibility shim — everything the `qgdp-bench` harness needs to
+//! artifact.  One [`FlowRequest`] type (a strategy plus an optional
+//! [`DetailedPlacerConfig`]) drives both [`Session::run`] for a single flow and
+//! the batch surface for many — everything the `qgdp-bench` harness needs to
 //! regenerate the paper's figures and tables.
 //!
 //! # Quick start
@@ -46,11 +46,12 @@
 //! # Ok::<(), qgdp::FlowError>(())
 //! ```
 //!
-//! Migrating from `run_flow`: `run_flow(&topo, strategy, &cfg)?` is exactly
-//! `Session::new(&topo, cfg)?.run(strategy)?.into_flow_result()`; the artifact
-//! methods ([`CellLegalized::report`], [`CellLegalized::placement`],
-//! [`FlowArtifact::mean_benchmark_fidelity`]) replace the eager [`FlowResult`]
-//! fields.
+//! One flow end to end is `Session::new(&topo, cfg)?.run(request)?`; the terminal
+//! [`FlowArtifact`] reads its results lazily ([`FlowArtifact::report`],
+//! [`FlowArtifact::final_placement`], [`FlowArtifact::mean_benchmark_fidelity`])
+//! and reaches back to every earlier stage ([`FlowArtifact::legalized`],
+//! [`CellLegalized::global`]).  A batch is all or nothing when collected:
+//! `session.try_run_batch(&requests).into_iter().collect::<Result<Vec<_>, _>>()`.
 //!
 //! # Paper map
 //!
@@ -88,7 +89,7 @@ pub use artifact::{
 pub use detail::{DetailedPlacementOutcome, DetailedPlacer, DetailedPlacerConfig};
 pub use digest::{placement_fingerprint, stable_digest, ArtifactKey, StableHasher};
 pub use error::FlowError;
-pub use pipeline::{run_flow, FaultInjection, FlowConfig, FlowResult, StageTiming};
+pub use pipeline::{FaultInjection, FlowConfig};
 pub use qubit_lg::QuantumQubitLegalizer;
 pub use resonator_lg::ResonatorLegalizer;
 pub use session::{FlowRequest, Session};

@@ -1,24 +1,17 @@
-//! The monolithic flow entry point, kept as a thin compatibility shim over the
-//! staged [`Session`] API.
+//! Flow configuration: [`FlowConfig`], shared by every stage of a
+//! [`Session`](crate::Session), and
+//! the [`FaultInjection`] testing hook.
 //!
-//! [`run_flow`] drives GP → qubit LG → resonator LG → (optional) DP → metrics in one
-//! call and returns the eager [`FlowResult`] view.  New code should prefer the
-//! staged API — [`crate::Session`] / [`crate::GlobalPlacement`] /
-//! [`crate::CellLegalized`] — which shares the global placement across strategies,
-//! computes reports lazily and batches strategy matrices over the worker pool; this
-//! module's outputs are bit-identical to the staged path by construction (the
-//! `session_equivalence` golden suite proves it).
+//! What runs is chosen per call, not per config:
+//! [`Session::run`](crate::Session::run) takes one
+//! [`FlowRequest`](crate::FlowRequest) (a strategy plus an optional detailed-placer
+//! configuration) and [`Session::try_run_batch`](crate::Session::try_run_batch)
+//! takes many.
 
-use crate::{DetailedPlacerConfig, FlowError, LegalizationStrategy, Session};
-use qgdp_circuits::Benchmark;
-use qgdp_geometry::Rect;
-use qgdp_legalize::is_legal;
-use qgdp_metrics::{CrosstalkConfig, LayoutReport, NoiseModel};
-use qgdp_netlist::{ComponentGeometry, NetModel, Placement, QuantumNetlist};
+use crate::{DetailedPlacerConfig, LegalizationStrategy};
+use qgdp_metrics::CrosstalkConfig;
+use qgdp_netlist::{ComponentGeometry, NetModel};
 use qgdp_placer::GlobalPlacerConfig;
-use qgdp_topology::Topology;
-use std::sync::Arc;
-use std::time::Duration;
 
 /// Deterministic fault injection into the legalization stage — the testing/chaos
 /// hook behind the fault-isolation contract of
@@ -35,17 +28,16 @@ pub struct FaultInjection {
     pub fail_legalization: Option<LegalizationStrategy>,
     /// Panic inside this strategy's qubit-legalization worker.  On the batch
     /// `try_` surface the unwind is contained to the poisoned request
-    /// ([`FlowError::Worker`]); on single-flow paths
-    /// ([`Session::run`], [`crate::run_flow`]) it propagates to the caller.
+    /// ([`FlowError::Worker`](crate::FlowError::Worker)); on single-flow paths
+    /// ([`Session::run`](crate::Session::run)) it propagates to the caller.
     pub panic_in_legalization: Option<LegalizationStrategy>,
 }
 
-/// Configuration of the full flow (and of a [`Session`]).
+/// Configuration of the full flow (and of a [`Session`](crate::Session)).
 ///
 /// Every field has a builder-style setter, so no field needs struct-literal access:
 /// [`with_geometry`](FlowConfig::with_geometry), [`with_net_model`](FlowConfig::with_net_model),
 /// [`with_gp`](FlowConfig::with_gp), [`with_crosstalk`](FlowConfig::with_crosstalk),
-/// [`with_detailed_placement`](FlowConfig::with_detailed_placement),
 /// [`with_detail`](FlowConfig::with_detail),
 /// [`with_fault_injection`](FlowConfig::with_fault_injection) and the
 /// [`with_seed`](FlowConfig::with_seed) shorthand.
@@ -59,8 +51,6 @@ pub struct FlowConfig {
     pub gp: GlobalPlacerConfig,
     /// Crosstalk detection thresholds.
     pub crosstalk: CrosstalkConfig,
-    /// Whether to run the detailed placer after legalization.
-    pub detailed_placement: bool,
     /// Detailed-placer configuration.
     pub detail: DetailedPlacerConfig,
     /// Deterministic fault injection (testing/chaos hook; injects nothing by
@@ -69,7 +59,8 @@ pub struct FlowConfig {
 }
 
 impl FlowConfig {
-    /// The default flow configuration (pseudo connections, no detailed placement).
+    /// The default flow configuration (pseudo connections, default placer and
+    /// detailed-placer settings, no fault injection).
     #[must_use]
     pub fn new() -> Self {
         FlowConfig {
@@ -77,17 +68,9 @@ impl FlowConfig {
             net_model: NetModel::Pseudo,
             gp: GlobalPlacerConfig::default(),
             crosstalk: CrosstalkConfig::default(),
-            detailed_placement: false,
             detail: DetailedPlacerConfig::default(),
             fault: FaultInjection::default(),
         }
-    }
-
-    /// Enables or disables the detailed-placement stage.
-    #[must_use]
-    pub fn with_detailed_placement(mut self, enabled: bool) -> Self {
-        self.detailed_placement = enabled;
-        self
     }
 
     /// Overrides the global-placer seed (useful for repeated experiments).
@@ -125,8 +108,9 @@ impl FlowConfig {
         self
     }
 
-    /// Overrides the detailed-placer configuration (does not toggle the stage; see
-    /// [`with_detailed_placement`](FlowConfig::with_detailed_placement)).
+    /// Overrides the detailed-placer configuration
+    /// [`CellLegalized::detail`](crate::CellLegalized::detail) runs with (whether
+    /// the stage runs at all is chosen per [`FlowRequest`](crate::FlowRequest)).
     #[must_use]
     pub fn with_detail(mut self, detail: DetailedPlacerConfig) -> Self {
         self.detail = detail;
@@ -157,196 +141,9 @@ impl Default for FlowConfig {
     }
 }
 
-/// Wall-clock duration of each stage of the flow (the quantities of Table II).
-///
-/// This is the legacy aggregate view; the staged artifacts record the same
-/// information as [`StageEvent`](crate::StageEvent) traces
-/// ([`CellLegalized::events`](crate::CellLegalized::events)), from which this struct
-/// is assembled.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct StageTiming {
-    /// Global placement runtime.
-    pub global_placement: Duration,
-    /// Qubit legalization runtime (`t_q` of Table II).
-    pub qubit_legalization: Duration,
-    /// Resonator legalization runtime (`t_e` of Table II).
-    pub resonator_legalization: Duration,
-    /// Detailed placement runtime, when the stage ran.
-    pub detailed_placement: Option<Duration>,
-}
-
-/// Everything produced by one run of the monolithic flow — the eager, owned
-/// compatibility view of the staged artifacts.
-///
-/// The topology and netlist are [`Arc`]-shared with the session that produced the
-/// flow (no per-result deep copies); both deref to the underlying type, so existing
-/// `&result.netlist` / `&result.topology` call sites keep working.  Reports are
-/// computed eagerly here — use the staged API for lazy evaluation.
-#[derive(Debug, Clone)]
-pub struct FlowResult {
-    /// The device topology the flow was run for (shared, not cloned per flow).
-    pub topology: Arc<Topology>,
-    /// The legalization strategy used.
-    pub strategy: LegalizationStrategy,
-    /// The netlist built from the topology (shared, not cloned per flow).
-    pub netlist: Arc<QuantumNetlist>,
-    /// The die outline.
-    pub die: Rect,
-    /// The global-placement positions.
-    pub gp_placement: Placement,
-    /// Positions after qubit legalization (wire blocks still at GP positions).
-    pub qubit_legalized: Placement,
-    /// Positions after wire-block legalization.
-    pub legalized: Placement,
-    /// Positions after detailed placement, when the stage ran.
-    pub detailed: Option<Placement>,
-    /// Per-stage wall-clock timings.
-    pub timing: StageTiming,
-    /// Crosstalk configuration the reports were computed with.
-    pub crosstalk: CrosstalkConfig,
-    /// Layout metrics of the raw global placement.
-    pub gp_report: LayoutReport,
-    /// Layout metrics after legalization.
-    pub legalized_report: LayoutReport,
-    /// Layout metrics after detailed placement, when the stage ran.
-    pub detailed_report: Option<LayoutReport>,
-}
-
-impl FlowResult {
-    /// The final placement of the flow (detailed placement when it ran, otherwise the
-    /// legalized layout).
-    #[must_use]
-    pub fn final_placement(&self) -> &Placement {
-        self.detailed.as_ref().unwrap_or(&self.legalized)
-    }
-
-    /// The layout report of the final placement.
-    #[must_use]
-    pub fn final_report(&self) -> &LayoutReport {
-        self.detailed_report
-            .as_ref()
-            .unwrap_or(&self.legalized_report)
-    }
-
-    /// Returns `true` if the final placement is fully legal (inside the die, no
-    /// overlapping components).
-    #[must_use]
-    pub fn is_legal(&self) -> bool {
-        is_legal(&self.netlist, &self.die, self.final_placement())
-    }
-
-    /// Mean worst-case program fidelity of `benchmark` on the final layout, averaged
-    /// over `mappings` random qubit mappings (the Fig. 8 protocol).
-    #[must_use]
-    pub fn mean_benchmark_fidelity(
-        &self,
-        benchmark: Benchmark,
-        mappings: usize,
-        noise: &NoiseModel,
-        seed: u64,
-    ) -> f64 {
-        let circuit = benchmark.circuit();
-        let maps = qgdp_circuits::random_mappings(&circuit, &self.topology, mappings, seed);
-        qgdp_metrics::mean_fidelity(
-            &self.netlist,
-            self.final_placement(),
-            &maps,
-            noise,
-            &self.crosstalk,
-        )
-    }
-}
-
-/// Runs the full qGDP flow for `topology` under `strategy`.
-///
-/// This is a compatibility shim: it builds a one-shot [`Session`], runs the staged
-/// pipeline and converts the terminal artifact into the eager [`FlowResult`] view.
-/// Outputs are bit-identical to driving the stages by hand.  Callers that run more
-/// than one strategy or configuration on the same device should hold a [`Session`]
-/// and fork its [`global_place`](Session::global_place) artifact instead — that
-/// skips the redundant netlist builds and GP runs this shim pays per call.
-///
-/// # Errors
-///
-/// Returns a [`FlowError`] when the netlist cannot be built or a legalization stage
-/// fails to find a legal layout.
-pub fn run_flow(
-    topology: &Topology,
-    strategy: LegalizationStrategy,
-    config: &FlowConfig,
-) -> Result<FlowResult, FlowError> {
-    Session::new(topology, *config)?
-        .run(strategy)
-        .map(crate::FlowArtifact::into_flow_result)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use qgdp_topology::StandardTopology;
-
-    #[test]
-    fn flow_runs_for_qgdp_on_grid() {
-        let topo = StandardTopology::Grid.build();
-        let cfg = FlowConfig::default().with_seed(3);
-        let result = run_flow(&topo, LegalizationStrategy::Qgdp, &cfg).unwrap();
-        assert!(result.is_legal());
-        assert_eq!(result.strategy, LegalizationStrategy::Qgdp);
-        assert!(result.timing.qubit_legalization > Duration::ZERO);
-        assert!(result.timing.resonator_legalization > Duration::ZERO);
-        assert!(result.detailed.is_none());
-        assert!(result.final_report().total_clusters >= result.netlist.num_resonators());
-    }
-
-    #[test]
-    fn flow_with_detailed_placement_never_regresses() {
-        let topo = StandardTopology::Grid.build();
-        let cfg = FlowConfig::default()
-            .with_detailed_placement(true)
-            .with_seed(5);
-        let result = run_flow(&topo, LegalizationStrategy::Qgdp, &cfg).unwrap();
-        assert!(result.is_legal());
-        let dp = result.detailed_report.as_ref().expect("DP ran");
-        assert!(dp.total_clusters <= result.legalized_report.total_clusters);
-        assert!(
-            dp.hotspot_proportion_percent
-                <= result.legalized_report.hotspot_proportion_percent + 1e-9
-        );
-        assert!(result.timing.detailed_placement.is_some());
-    }
-
-    #[test]
-    fn all_strategies_produce_legal_layouts_on_falcon() {
-        let topo = StandardTopology::Falcon.build();
-        let cfg = FlowConfig::default().with_seed(11);
-        for strategy in LegalizationStrategy::all() {
-            let result = run_flow(&topo, strategy, &cfg).unwrap();
-            assert!(result.is_legal(), "{strategy} produced an illegal layout");
-        }
-    }
-
-    #[test]
-    fn qgdp_produces_fewer_clusters_than_classical_baselines() {
-        let topo = StandardTopology::Grid.build();
-        let cfg = FlowConfig::default().with_seed(17);
-        let qgdp = run_flow(&topo, LegalizationStrategy::Qgdp, &cfg).unwrap();
-        let tetris = run_flow(&topo, LegalizationStrategy::Tetris, &cfg).unwrap();
-        assert!(
-            qgdp.legalized_report.total_clusters <= tetris.legalized_report.total_clusters,
-            "qGDP {} clusters vs Tetris {}",
-            qgdp.legalized_report.total_clusters,
-            tetris.legalized_report.total_clusters
-        );
-    }
-
-    #[test]
-    fn fidelity_evaluation_runs() {
-        let topo = StandardTopology::Grid.build();
-        let cfg = FlowConfig::default().with_seed(23);
-        let result = run_flow(&topo, LegalizationStrategy::Qgdp, &cfg).unwrap();
-        let f = result.mean_benchmark_fidelity(Benchmark::Bv4, 3, &NoiseModel::default(), 1);
-        assert!(f > 0.0 && f <= 1.0);
-    }
 
     #[test]
     fn builder_setters_cover_every_field() {
@@ -363,29 +160,14 @@ mod tests {
             .with_net_model(NetModel::Chain)
             .with_gp(gp)
             .with_crosstalk(crosstalk)
-            .with_detailed_placement(true)
             .with_detail(detail)
             .with_fault_injection(fault);
         assert_eq!(cfg.gp.seed, 99);
         assert_eq!(cfg.net_model, NetModel::Chain);
-        assert!(cfg.detailed_placement);
         assert_eq!(cfg.detail, detail);
         assert_eq!(cfg.crosstalk, crosstalk);
         assert_eq!(cfg.geometry, geometry);
         assert_eq!(cfg.fault, fault);
         assert_eq!(FlowConfig::default().fault, FaultInjection::default());
-    }
-
-    #[test]
-    fn flow_result_shares_topology_and_netlist_instead_of_cloning() {
-        let topo = StandardTopology::Grid.build();
-        let cfg = FlowConfig::default().with_seed(29);
-        let result = run_flow(&topo, LegalizationStrategy::Qgdp, &cfg).unwrap();
-        // The Arc handles are the only owners the caller sees; cloning the result
-        // must not deep-copy the topology or netlist.
-        let clone = result.clone();
-        assert!(Arc::ptr_eq(&result.topology, &clone.topology));
-        assert!(Arc::ptr_eq(&result.netlist, &clone.netlist));
-        assert_eq!(*result.topology, topo);
     }
 }

@@ -12,7 +12,7 @@ pub use crate::artifact::{
 };
 pub use crate::detail::{DetailedPlacementOutcome, DetailedPlacer, DetailedPlacerConfig};
 pub use crate::error::FlowError;
-pub use crate::pipeline::{run_flow, FaultInjection, FlowConfig, FlowResult, StageTiming};
+pub use crate::pipeline::{FaultInjection, FlowConfig};
 pub use crate::qubit_lg::QuantumQubitLegalizer;
 pub use crate::resonator_lg::{ResonatorLegalizer, ResonatorOrder};
 pub use crate::session::{FlowRequest, Session};

@@ -3,8 +3,9 @@
 //!
 //! A `Session` owns everything that is constant across a device's placement runs —
 //! the [`Topology`], the [`QuantumNetlist`] built from it, and the [`FlowConfig`] —
-//! behind one [`Arc`], so every artifact derived from it is a cheap handle.  The
-//! monolithic [`crate::run_flow`] is a thin compatibility shim over this API.
+//! behind one [`Arc`], so every artifact derived from it is a cheap handle.
+//! [`Session::run`] drives one [`FlowRequest`] (a strategy plus an optional
+//! detailed-placer configuration) through every stage it asks for.
 //!
 //! ```
 //! use qgdp::prelude::*;
@@ -35,9 +36,10 @@
 //! sibling request still returns its artifact, bit-identical to an all-success
 //! run of those siblings.  Errors carry the failing [`Stage`], strategy, request
 //! index and the [`StageEvent`](crate::StageEvent) trace of the stages that
-//! completed ([`FlowError::Legalize`] / [`FlowError::Worker`]).
-//! [`Session::run_batch`] / [`Session::run_matrix`] remain as thin all-or-nothing
-//! shims over the same engine.
+//! completed ([`FlowError::Legalize`] / [`FlowError::Worker`]).  A caller that
+//! wants all or nothing collects the outcomes:
+//! `session.try_run_batch(&requests).into_iter().collect::<Result<Vec<_>, _>>()`
+//! returns every artifact or the error of the first failing request.
 
 use crate::artifact::{CellLegalized, Detailed, FlowArtifact, GlobalPlacement, GpData, Stage};
 use crate::pipeline::FlowConfig;
@@ -65,8 +67,9 @@ pub(crate) struct SessionContext {
     pub(crate) gp_cache: OnceLock<GpData>,
 }
 
-/// One request of a batched flow: a legalization strategy plus an optional
-/// detailed-placement configuration.
+/// One flow request: a legalization strategy plus an optional
+/// detailed-placement configuration — the input of [`Session::run`] and, many
+/// at once, of [`Session::try_run_batch`].
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct FlowRequest {
     /// The legalization strategy to run.
@@ -159,7 +162,7 @@ impl Session {
     /// The placer is a deterministic function of the session's (immutable) context,
     /// so the run is cached on the session: the first call pays for the GP, and
     /// every later call — including the ones inside [`Session::run`] and
-    /// [`Session::run_batch`] — returns a cheap handle to the same shared result,
+    /// [`Session::try_run_batch`] — returns a cheap handle to the same shared result,
     /// bit-identical by construction.
     #[must_use]
     pub fn global_place(&self) -> GlobalPlacement {
@@ -199,18 +202,18 @@ impl Session {
         self.global_place()
     }
 
-    /// Runs one full flow for `strategy`, honouring the config's
-    /// `detailed_placement` flag — the staged equivalent of [`crate::run_flow`].
+    /// Runs one flow: global placement (cached on the session), both
+    /// legalization stages of `request.strategy`, then detailed placement when
+    /// `request.detail` is set.
     ///
     /// # Errors
     ///
     /// Returns a [`FlowError`] when a legalization stage fails.
-    pub fn run(&self, strategy: LegalizationStrategy) -> Result<FlowArtifact, FlowError> {
-        let legalized = self.global_place().legalize(strategy)?;
-        Ok(if self.ctx.config.detailed_placement {
-            FlowArtifact::Detailed(legalized.detail())
-        } else {
-            FlowArtifact::Legalized(legalized)
+    pub fn run(&self, request: FlowRequest) -> Result<FlowArtifact, FlowError> {
+        let legalized = self.global_place().legalize(request.strategy)?;
+        Ok(match request.detail {
+            None => FlowArtifact::Legalized(legalized),
+            Some(config) => FlowArtifact::Detailed(legalized.detail_with(config)),
         })
     }
 
@@ -248,10 +251,11 @@ impl Session {
         try_batch_from_gp(&gp, requests, threads)
     }
 
-    /// Fault-isolated form of [`Session::run_matrix`]: runs the `strategies ×
-    /// details` cross product (strategy-major request order) and returns one
-    /// `Result` per cell, in request order — a partial matrix survives a poisoned
-    /// strategy column.
+    /// Runs the `strategies × details` cross product as one batch
+    /// (strategy-major request order) off a single shared global placement — the
+    /// Table II/III strategy matrix in one call — and returns one `Result` per
+    /// cell, in request order: a partial matrix survives a poisoned strategy
+    /// column.
     ///
     /// Each entry of `details` is `None` to stop after legalization or
     /// `Some(config)` to run detailed placement with that configuration.
@@ -262,64 +266,6 @@ impl Session {
         details: &[Option<DetailedPlacerConfig>],
     ) -> Vec<Result<FlowArtifact, FlowError>> {
         self.try_run_batch(&matrix_requests(strategies, details))
-    }
-
-    /// All-or-nothing batching over [`Session::try_run_batch`]: runs `requests` as
-    /// one batch off a single shared global placement, fanned over the
-    /// `QGDP_THREADS` worker pool.  See [`Session::run_batch_with_threads`].
-    ///
-    /// # Errors
-    ///
-    /// Returns the error of the **first failing strategy in request
-    /// first-appearance order** (within that strategy, the lowest failing request
-    /// index) — *not* the first error in request order, because legalizations are
-    /// fanned out per distinct strategy.  Use [`Session::try_run_batch`] to keep
-    /// the surviving siblings instead of discarding them.
-    pub fn run_batch(&self, requests: &[FlowRequest]) -> Result<Vec<FlowArtifact>, FlowError> {
-        self.run_batch_with_threads(requests, worker_threads())
-    }
-
-    /// [`Session::run_batch`] with an explicit worker count.
-    ///
-    /// A thin all-or-nothing shim over
-    /// [`Session::try_run_batch_with_threads`]: on an all-success batch the
-    /// artifacts are identical (the `session_equivalence` golden suite proves
-    /// bit-identity with serial staging); on any failure the whole batch is
-    /// discarded.  Results are returned in request order and are bit-identical for
-    /// every `threads` value.
-    ///
-    /// # Errors
-    ///
-    /// Returns the error of the first failing strategy in request
-    /// first-appearance order (within that strategy, the lowest failing request
-    /// index).
-    pub fn run_batch_with_threads(
-        &self,
-        requests: &[FlowRequest],
-        threads: usize,
-    ) -> Result<Vec<FlowArtifact>, FlowError> {
-        all_or_nothing(requests, self.try_run_batch_with_threads(requests, threads))
-    }
-
-    /// Runs the `strategies × details` cross product as one batch (strategy-major
-    /// request order) off a single shared global placement — the Table II/III
-    /// strategy matrix in one call.
-    ///
-    /// Each entry of `details` is `None` to stop after legalization or
-    /// `Some(config)` to run detailed placement with that configuration.
-    ///
-    /// # Errors
-    ///
-    /// Returns the error of the first failing strategy in request
-    /// first-appearance order — for the strategy-major request order built here,
-    /// the first failing entry of `strategies` — discarding the surviving columns;
-    /// [`Session::try_run_matrix`] returns them instead.
-    pub fn run_matrix(
-        &self,
-        strategies: &[LegalizationStrategy],
-        details: &[Option<DetailedPlacerConfig>],
-    ) -> Result<Vec<FlowArtifact>, FlowError> {
-        self.run_batch(&matrix_requests(strategies, details))
     }
 }
 
@@ -498,33 +444,11 @@ fn try_batch_from_gp(
         .collect()
 }
 
-/// The all-or-nothing contract of [`Session::run_batch`]: every artifact, or the
-/// error of the first failing strategy in request first-appearance order (within
-/// that strategy, the lowest failing request index) — the same order the
-/// pre-fault-isolation engine produced, proven by the shim contract tests.
-fn all_or_nothing(
-    requests: &[FlowRequest],
-    results: Vec<Result<FlowArtifact, FlowError>>,
-) -> Result<Vec<FlowArtifact>, FlowError> {
-    for strategy in distinct_strategies(requests) {
-        let first_failure = requests.iter().zip(&results).find_map(|(request, result)| {
-            (request.strategy == strategy)
-                .then(|| result.as_ref().err())
-                .flatten()
-        });
-        if let Some(error) = first_failure {
-            return Err(error.clone());
-        }
-    }
-    Ok(results
-        .into_iter()
-        .map(|result| result.expect("no request failed"))
-        .collect())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use qgdp_circuits::Benchmark;
+    use qgdp_metrics::NoiseModel;
     use qgdp_topology::StandardTopology;
 
     fn session() -> Session {
@@ -563,25 +487,105 @@ mod tests {
         assert_eq!(gp2.report(), &report);
     }
 
+    /// Every request succeeds: the artifacts in request order.
+    fn all_ok(results: Vec<Result<FlowArtifact, FlowError>>) -> Vec<FlowArtifact> {
+        results
+            .into_iter()
+            .collect::<Result<_, _>>()
+            .expect("every request succeeds")
+    }
+
     #[test]
-    fn run_honours_the_detailed_placement_flag() {
+    fn run_follows_the_request_detail() {
         let topo = StandardTopology::Grid.build();
-        let lg_only = Session::new(&topo, FlowConfig::default().with_seed(5))
-            .unwrap()
-            .run(LegalizationStrategy::Qgdp)
+        let s = Session::new(&topo, FlowConfig::default().with_seed(5)).unwrap();
+        let lg_only = s
+            .run(FlowRequest::legalize(LegalizationStrategy::Qgdp))
             .unwrap();
         assert!(lg_only.detailed().is_none());
-        let with_dp = Session::new(
-            &topo,
-            FlowConfig::default()
-                .with_seed(5)
-                .with_detailed_placement(true),
-        )
-        .unwrap()
-        .run(LegalizationStrategy::Qgdp)
-        .unwrap();
+        let with_dp = s
+            .run(FlowRequest::detailed(
+                LegalizationStrategy::Qgdp,
+                DetailedPlacerConfig::new(),
+            ))
+            .unwrap();
         assert!(with_dp.detailed().is_some());
         assert!(with_dp.is_legal());
+    }
+
+    #[test]
+    fn flow_runs_for_qgdp_on_grid() {
+        let topo = StandardTopology::Grid.build();
+        let s = Session::new(&topo, FlowConfig::default().with_seed(3)).unwrap();
+        let result = s
+            .run(FlowRequest::legalize(LegalizationStrategy::Qgdp))
+            .unwrap();
+        assert!(result.is_legal());
+        assert_eq!(result.strategy(), LegalizationStrategy::Qgdp);
+        assert!(result.legalized().qubit_stage().elapsed() > Duration::ZERO);
+        assert!(result.legalized().elapsed() > Duration::ZERO);
+        assert!(result.detailed().is_none());
+        assert!(result.report().total_clusters >= result.netlist().num_resonators());
+    }
+
+    #[test]
+    fn detailed_flow_never_regresses() {
+        let topo = StandardTopology::Grid.build();
+        let s = Session::new(&topo, FlowConfig::default().with_seed(5)).unwrap();
+        let result = s
+            .run(FlowRequest::detailed(
+                LegalizationStrategy::Qgdp,
+                DetailedPlacerConfig::new(),
+            ))
+            .unwrap();
+        assert!(result.is_legal());
+        let dp = result.detailed().expect("DP ran").report();
+        let lg = result.legalized().report();
+        assert!(dp.total_clusters <= lg.total_clusters);
+        assert!(dp.hotspot_proportion_percent <= lg.hotspot_proportion_percent + 1e-9);
+        assert_eq!(
+            result.events().last().map(|e| e.stage),
+            Some(Stage::DetailedPlacement)
+        );
+    }
+
+    #[test]
+    fn all_strategies_produce_legal_layouts_on_falcon() {
+        let topo = StandardTopology::Falcon.build();
+        let s = Session::new(&topo, FlowConfig::default().with_seed(11)).unwrap();
+        for strategy in LegalizationStrategy::all() {
+            let result = s.run(FlowRequest::legalize(strategy)).unwrap();
+            assert!(result.is_legal(), "{strategy} produced an illegal layout");
+        }
+    }
+
+    #[test]
+    fn qgdp_produces_fewer_clusters_than_classical_baselines() {
+        let topo = StandardTopology::Grid.build();
+        let s = Session::new(&topo, FlowConfig::default().with_seed(17)).unwrap();
+        let qgdp = s
+            .run(FlowRequest::legalize(LegalizationStrategy::Qgdp))
+            .unwrap();
+        let tetris = s
+            .run(FlowRequest::legalize(LegalizationStrategy::Tetris))
+            .unwrap();
+        assert!(
+            qgdp.report().total_clusters <= tetris.report().total_clusters,
+            "qGDP {} clusters vs Tetris {}",
+            qgdp.report().total_clusters,
+            tetris.report().total_clusters
+        );
+    }
+
+    #[test]
+    fn fidelity_evaluation_runs() {
+        let topo = StandardTopology::Grid.build();
+        let s = Session::new(&topo, FlowConfig::default().with_seed(23)).unwrap();
+        let result = s
+            .run(FlowRequest::legalize(LegalizationStrategy::Qgdp))
+            .unwrap();
+        let f = result.mean_benchmark_fidelity(Benchmark::Bv4, 3, &NoiseModel::default(), 1);
+        assert!(f > 0.0 && f <= 1.0);
     }
 
     #[test]
@@ -592,7 +596,7 @@ mod tests {
             FlowRequest::detailed(LegalizationStrategy::Qgdp, DetailedPlacerConfig::new()),
             FlowRequest::legalize(LegalizationStrategy::Qgdp),
         ];
-        let artifacts = s.run_batch_with_threads(&requests, 2).unwrap();
+        let artifacts = all_ok(s.try_run_batch_with_threads(&requests, 2));
         assert_eq!(artifacts.len(), 3);
         assert_eq!(artifacts[0].strategy(), LegalizationStrategy::Tetris);
         assert_eq!(artifacts[1].strategy(), LegalizationStrategy::Qgdp);
@@ -612,9 +616,9 @@ mod tests {
             .into_iter()
             .map(FlowRequest::legalize)
             .collect();
-        let serial = s.run_batch_with_threads(&requests, 1).unwrap();
+        let serial = all_ok(s.try_run_batch_with_threads(&requests, 1));
         for threads in [2, 4, 16] {
-            let parallel = s.run_batch_with_threads(&requests, threads).unwrap();
+            let parallel = all_ok(s.try_run_batch_with_threads(&requests, threads));
             for (a, b) in serial.iter().zip(&parallel) {
                 assert_eq!(
                     a.final_placement(),
@@ -627,11 +631,11 @@ mod tests {
     }
 
     #[test]
-    fn run_matrix_is_the_strategy_major_cross_product() {
+    fn try_run_matrix_is_the_strategy_major_cross_product() {
         let s = session();
         let strategies = [LegalizationStrategy::Qgdp, LegalizationStrategy::Tetris];
         let details = [None, Some(DetailedPlacerConfig::new())];
-        let artifacts = s.run_matrix(&strategies, &details).unwrap();
+        let artifacts = all_ok(s.try_run_matrix(&strategies, &details));
         assert_eq!(artifacts.len(), 4);
         assert_eq!(artifacts[0].strategy(), LegalizationStrategy::Qgdp);
         assert!(artifacts[0].detailed().is_none());
@@ -642,9 +646,8 @@ mod tests {
 
     #[test]
     fn empty_batch_is_an_empty_vec() {
-        let artifacts = session().run_batch(&[]).unwrap();
-        assert!(artifacts.is_empty());
         assert!(session().try_run_batch(&[]).is_empty());
+        assert!(session().try_run_matrix(&[], &[None]).is_empty());
     }
 
     #[test]
@@ -656,7 +659,7 @@ mod tests {
             FlowRequest::legalize(LegalizationStrategy::Qgdp),
             FlowRequest::detailed(LegalizationStrategy::Qgdp, config),
         ];
-        let artifacts = s.run_batch_with_threads(&requests, 2).unwrap();
+        let artifacts = all_ok(s.try_run_batch_with_threads(&requests, 2));
         // Identical (strategy, detail) requests share the artifact handle — the
         // same allocation, not merely equal values.
         assert!(std::ptr::eq(
@@ -681,7 +684,7 @@ mod tests {
             Some(DetailedPlacerConfig::new()),
             Some(DetailedPlacerConfig::new().with_fidelity_guided(true)),
         ];
-        let artifacts = s.run_matrix(&strategies, &details).unwrap();
+        let artifacts = all_ok(s.try_run_matrix(&strategies, &details));
         assert_eq!(artifacts.len(), 4);
         for (index, artifact) in artifacts.iter().enumerate() {
             let dp = artifact.detailed().expect("every request ran DP");
@@ -757,7 +760,7 @@ mod tests {
         assert_eq!(rdp.placement(), dp.placement());
         assert_eq!(rdp.report(), dp.report());
         assert_eq!(rdp.windows_accepted(), dp.windows_accepted());
-        assert_eq!(rdp.timing(), dp.timing());
+        assert_eq!(rdp.events(), dp.events());
     }
 
     #[test]
@@ -780,7 +783,7 @@ mod tests {
             .map(FlowRequest::legalize)
             .collect();
         let results = poisoned.try_run_batch_with_threads(&requests, 2);
-        let baseline = clean.run_batch_with_threads(&requests, 2).unwrap();
+        let baseline = all_ok(clean.try_run_batch_with_threads(&requests, 2));
         assert_eq!(results.len(), 5);
         for (index, (request, result)) in requests.iter().zip(&results).enumerate() {
             if request.strategy == LegalizationStrategy::QTetris {
@@ -865,38 +868,10 @@ mod tests {
         let hook = std::panic::take_hook();
         std::panic::set_hook(Box::new(|_| {}));
         let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            s.run(LegalizationStrategy::Qgdp)
+            s.run(FlowRequest::legalize(LegalizationStrategy::Qgdp))
         }));
         std::panic::set_hook(hook);
         assert!(outcome.is_err(), "Session::run must not contain panics");
-    }
-
-    #[test]
-    fn all_or_nothing_shim_returns_the_first_failing_strategy_in_appearance_order() {
-        // Poison one strategy and order the requests so request order disagrees
-        // with the canonical LegalizationStrategy::all() order: the shim must key
-        // on request first-appearance order.
-        let topo = StandardTopology::Grid.build();
-        let fault = crate::FaultInjection {
-            fail_legalization: Some(LegalizationStrategy::Tetris),
-            panic_in_legalization: None,
-        };
-        let s = Session::new(
-            &topo,
-            FlowConfig::default()
-                .with_seed(11)
-                .with_fault_injection(fault),
-        )
-        .unwrap();
-        let requests = [
-            FlowRequest::legalize(LegalizationStrategy::Tetris),
-            FlowRequest::legalize(LegalizationStrategy::Qgdp),
-            FlowRequest::legalize(LegalizationStrategy::Tetris),
-        ];
-        let error = s.run_batch_with_threads(&requests, 2).unwrap_err();
-        assert_eq!(error.strategy(), Some(LegalizationStrategy::Tetris));
-        // The error instance is the poisoned strategy's lowest request index.
-        assert_eq!(error.request(), Some(0));
     }
 
     #[test]

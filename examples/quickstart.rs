@@ -1,10 +1,10 @@
 //! Quickstart: run the staged qGDP pipeline on the 25-qubit grid device and print
 //! the layout quality after each stage.
 //!
-//! The [`Session`] API replaces the old monolithic `run_flow` call: a session
-//! builds the netlist once, `global_place()` produces a forkable GP artifact, and
-//! each later stage is a typed artifact with lazy, cached reports.  (`run_flow`
-//! still works and returns the same bits — it is now a thin shim over this API.)
+//! The [`Session`] API stages the flow: a session builds the netlist once,
+//! `global_place()` produces a forkable GP artifact, and each later stage is a
+//! typed artifact with lazy, cached reports.  (`session.run(request)` drives a
+//! whole [`FlowRequest`] in one call and returns the same bits.)
 //!
 //! ```bash
 //! cargo run --release -p qgdp --example quickstart

@@ -3,8 +3,8 @@
 //! several detailed-placer configurations — without recomputing any earlier stage.
 //!
 //! This is the miniature version of what `bench_flow` measures: the Table II/III
-//! strategy matrix used to cost five full `run_flow` calls (five netlist builds,
-//! five identical global placements); with a session it costs one of each.
+//! strategy matrix run as five fresh sessions costs five netlist builds and five
+//! identical global placements; with one session it costs one of each.
 //!
 //! ```bash
 //! cargo run --release -p qgdp --example session_matrix
@@ -25,7 +25,7 @@ fn main() -> Result<(), FlowError> {
         gp.stats().hpwl
     );
 
-    // ...forked into all five strategies.  `run_matrix` does the same fan-out over
+    // ...forked into all five strategies.  `try_run_matrix` does the same fan-out over
     // the QGDP_THREADS worker pool; the explicit loop shows the artifact flow.
     println!();
     println!(
@@ -65,14 +65,18 @@ fn main() -> Result<(), FlowError> {
         );
     }
 
-    // The batched surface produces the same artifacts in one call.
-    let batched = session.run_matrix(
-        &[LegalizationStrategy::Qgdp, LegalizationStrategy::Tetris],
-        &[None, Some(DetailedPlacerConfig::new())],
-    )?;
+    // The batched surface produces the same artifacts in one call, one `Result`
+    // per request; collecting them keeps all or fails on the first error.
+    let batched = session
+        .try_run_matrix(
+            &[LegalizationStrategy::Qgdp, LegalizationStrategy::Tetris],
+            &[None, Some(DetailedPlacerConfig::new())],
+        )
+        .into_iter()
+        .collect::<Result<Vec<_>, _>>()?;
     println!();
     println!(
-        "run_matrix(2 strategies x [LG, DP]) returned {} artifacts in request order",
+        "try_run_matrix(2 strategies x [LG, DP]) returned {} artifacts in request order",
         batched.len()
     );
     Ok(())

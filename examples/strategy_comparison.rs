@@ -1,7 +1,7 @@
 //! Compare the five legalization strategies of the paper (qGDP-LG, Q-Abacus, Q-Tetris,
 //! Abacus, Tetris) on one topology: the miniature version of Figs. 8 and 9.
 //!
-//! All five strategies are batched through [`Session::run_matrix`], so the global
+//! All five strategies are batched through [`Session::try_run_matrix`], so the global
 //! placement runs exactly once and its artifact is forked per strategy — the
 //! paper's "same GP positions" protocol, structurally guaranteed.
 //!
@@ -46,7 +46,10 @@ fn main() -> Result<(), FlowError> {
     );
     println!("{}", "-".repeat(80));
     // One GP run feeds all five strategies, fanned over the QGDP_THREADS pool.
-    let artifacts = session.run_matrix(&LegalizationStrategy::all(), &[None])?;
+    let artifacts = session
+        .try_run_matrix(&LegalizationStrategy::all(), &[None])
+        .into_iter()
+        .collect::<Result<Vec<_>, _>>()?;
     for artifact in &artifacts {
         let report = artifact.report();
         let fidelities: Vec<f64> = benchmarks

@@ -90,7 +90,9 @@ fn injected_failure_leaves_siblings_bit_identical_for_every_worker_count() {
     let clean = Session::new(&topo, config()).expect("session");
     let requests = all_strategy_requests();
     let baseline = clean
-        .run_batch(&requests)
+        .try_run_batch(&requests)
+        .into_iter()
+        .collect::<Result<Vec<_>, _>>()
         .expect("all strategies succeed without injection");
 
     for threads in WORKER_COUNTS {

@@ -60,14 +60,11 @@ fn hash_mapped(m: &MappedCircuit) -> u64 {
 }
 
 /// The Grid qGDP flow layout every fidelity golden below is evaluated on.
-fn flow_result() -> FlowResult {
+fn flow() -> CellLegalized {
     let topo = StandardTopology::Grid.build();
-    run_flow(
-        &topo,
-        LegalizationStrategy::Qgdp,
-        &FlowConfig::default().with_seed(20_250_331),
-    )
-    .expect("qGDP flow succeeds on the grid")
+    Session::new(&topo, FlowConfig::default().with_seed(20_250_331))
+        .and_then(|session| session.global_place().legalize(LegalizationStrategy::Qgdp))
+        .expect("qGDP flow succeeds on the grid")
 }
 
 #[test]
@@ -96,20 +93,20 @@ fn map_circuit_is_unchanged_from_pre_cache_implementation() {
 
 #[test]
 fn mean_fidelity_matches_pre_refactor_golden_bits() {
-    let result = flow_result();
+    let result = flow();
     let noise = NoiseModel::default();
     // (benchmark, mappings, seed, golden f64 bits of the serial pre-refactor mean).
     for (bench, count, seed, golden_bits) in [
         (Benchmark::Bv4, 8, 7u64, 0x3fe9b9e8d50aa212u64),
         (Benchmark::Qaoa4, 5, 99, 0x3fe2935c393e5e5e),
     ] {
-        let maps = random_mappings(&bench.circuit(), &result.topology, count, seed);
+        let maps = random_mappings(&bench.circuit(), result.topology(), count, seed);
         let mean = mean_fidelity(
-            &result.netlist,
-            result.final_placement(),
+            result.netlist(),
+            result.placement(),
             &maps,
             &noise,
-            &result.crosstalk,
+            &result.config().crosstalk,
         );
         assert_eq!(
             mean.to_bits(),
@@ -121,14 +118,14 @@ fn mean_fidelity_matches_pre_refactor_golden_bits() {
 
 #[test]
 fn qgdp_threads_env_does_not_change_bits() {
-    let result = flow_result();
+    let result = flow();
     let evaluator = FidelityEvaluator::new(
-        &result.netlist,
-        result.final_placement(),
+        result.netlist(),
+        result.placement(),
         NoiseModel::default(),
-        &result.crosstalk,
+        &result.config().crosstalk,
     );
-    let maps = random_mappings(&Benchmark::Qaoa4.circuit(), &result.topology, 50, 4242);
+    let maps = random_mappings(&Benchmark::Qaoa4.circuit(), result.topology(), 50, 4242);
 
     // The env-driven path: QGDP_THREADS=1 vs QGDP_THREADS=4.  The determinism
     // contract makes the env value immaterial to the bits, so this sequence is safe
@@ -160,18 +157,18 @@ fn qgdp_threads_env_does_not_change_bits() {
 
 #[test]
 fn single_qubit_circuits_survive_the_worker_pool() {
-    let result = flow_result();
+    let result = flow();
     let evaluator = FidelityEvaluator::new(
-        &result.netlist,
-        result.final_placement(),
+        result.netlist(),
+        result.placement(),
         NoiseModel::default(),
-        &result.crosstalk,
+        &result.config().crosstalk,
     );
     // A one-qubit benchmark has no two-qubit gates: no SWAPs, no active resonators.
     let mut circuit = Circuit::new(1);
     circuit.push(Gate::one(GateKind::H, 0));
     circuit.push(Gate::one(GateKind::Measure, 0));
-    let maps = random_mappings(&circuit, &result.topology, 6, 11);
+    let maps = random_mappings(&circuit, result.topology(), 6, 11);
     for m in &maps {
         assert_eq!(m.swaps_inserted(), 0);
         assert_eq!(m.active_qubits().len(), 1);

@@ -76,18 +76,18 @@ fn evaluate(
     strategy: LegalizationStrategy,
 ) -> (LayoutReport, Option<LayoutReport>, f64) {
     let topo = topology.build();
-    let result = run_flow(
-        &topo,
-        strategy,
-        &FlowConfig::default()
-            .with_seed(31)
-            .with_detailed_placement(strategy == LegalizationStrategy::Qgdp),
-    )
-    .expect("flow succeeds");
+    let request = if strategy == LegalizationStrategy::Qgdp {
+        FlowRequest::detailed(strategy, DetailedPlacerConfig::new())
+    } else {
+        FlowRequest::legalize(strategy)
+    };
+    let result = Session::new(&topo, FlowConfig::default().with_seed(31))
+        .and_then(|session| session.run(request))
+        .expect("flow succeeds");
     let fidelity = result.mean_benchmark_fidelity(Benchmark::Qaoa4, 10, &NoiseModel::default(), 5);
     (
-        result.legalized_report.clone(),
-        result.detailed_report.clone(),
+        result.legalized().report().clone(),
+        result.detailed().map(|dp| dp.report().clone()),
         fidelity,
     )
 }
@@ -163,22 +163,16 @@ fn larger_devices_have_lower_fidelity_for_the_same_benchmark() {
     // topologies (Eagle) score below small ones (Grid).
     let grid = {
         let topo = StandardTopology::Grid.build();
-        let r = run_flow(
-            &topo,
-            LegalizationStrategy::Qgdp,
-            &FlowConfig::default().with_seed(8),
-        )
-        .unwrap();
+        let r = Session::new(&topo, FlowConfig::default().with_seed(8))
+            .and_then(|session| session.run(FlowRequest::legalize(LegalizationStrategy::Qgdp)))
+            .unwrap();
         r.mean_benchmark_fidelity(Benchmark::Bv9, 8, &NoiseModel::default(), 3)
     };
     let eagle = {
         let topo = StandardTopology::Eagle.build();
-        let r = run_flow(
-            &topo,
-            LegalizationStrategy::Qgdp,
-            &FlowConfig::default().with_seed(8),
-        )
-        .unwrap();
+        let r = Session::new(&topo, FlowConfig::default().with_seed(8))
+            .and_then(|session| session.run(FlowRequest::legalize(LegalizationStrategy::Qgdp)))
+            .unwrap();
         r.mean_benchmark_fidelity(Benchmark::Bv9, 8, &NoiseModel::default(), 3)
     };
     assert!(

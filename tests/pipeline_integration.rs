@@ -1,8 +1,7 @@
 //! End-to-end integration tests of the staged qGDP pipeline across crates: topology
 //! generation, netlist construction, global placement, both legalization stages,
 //! detailed placement and metric evaluation all exercised together through the
-//! [`Session`] artifact API (the `run_flow` shim has its own equivalence suite in
-//! `session_equivalence.rs`).
+//! [`Session`] artifact API.
 
 use qgdp::prelude::*;
 
@@ -170,15 +169,11 @@ fn stage_events_are_recorded_in_pipeline_order() {
             event.stage
         );
     }
-    // The legacy aggregate view is a projection of the events.
-    let timing = dp.timing();
-    assert_eq!(timing.global_placement, staged.gp.elapsed());
-    assert_eq!(
-        timing.qubit_legalization,
-        staged.legalized.qubit_stage().elapsed()
-    );
-    assert_eq!(timing.resonator_legalization, staged.legalized.elapsed());
-    assert_eq!(timing.detailed_placement, Some(dp.elapsed()));
+    // Each event is the stage time its own artifact reports.
+    assert_eq!(events[0].duration, staged.gp.elapsed());
+    assert_eq!(events[1].duration, staged.legalized.qubit_stage().elapsed());
+    assert_eq!(events[2].duration, staged.legalized.elapsed());
+    assert_eq!(events[3].duration, dp.elapsed());
 }
 
 #[test]
@@ -192,7 +187,7 @@ fn chain_net_model_also_flows_end_to_end() {
     )
     .expect("chain-model session builds");
     let artifact = session
-        .run(LegalizationStrategy::Qgdp)
+        .run(FlowRequest::legalize(LegalizationStrategy::Qgdp))
         .expect("chain-model flow succeeds");
     assert!(artifact.is_legal());
 }

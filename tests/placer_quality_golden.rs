@@ -46,9 +46,10 @@ fn within_one_percent(actual: f64, golden: f64) -> bool {
     (actual - golden).abs() <= 0.01 * golden.abs()
 }
 
-fn run(topology: StandardTopology) -> FlowResult {
+fn run(topology: StandardTopology) -> FlowArtifact {
     let cfg = FlowConfig::default().with_seed(EXPERIMENT_SEED);
-    run_flow(&topology.build(), LegalizationStrategy::Qgdp, &cfg)
+    Session::new(&topology.build(), cfg)
+        .and_then(|session| session.run(FlowRequest::legalize(LegalizationStrategy::Qgdp)))
         .unwrap_or_else(|e| panic!("flow failed on {topology}: {e}"))
 }
 
@@ -56,12 +57,12 @@ fn run(topology: StandardTopology) -> FlowResult {
 fn gp_and_legalized_hpwl_stay_within_the_quality_envelope() {
     for (topology, golden_gp, golden_legal, _) in GOLDEN {
         let result = run(topology);
-        let gp = hpwl(&result.netlist, &result.gp_placement);
+        let gp = hpwl(result.netlist(), result.legalized().global().placement());
         assert!(
             within_one_percent(gp, golden_gp),
             "{topology}: GP HPWL {gp:.3} vs golden {golden_gp:.3}"
         );
-        let legal = hpwl(&result.netlist, &result.legalized);
+        let legal = hpwl(result.netlist(), result.final_placement());
         assert!(
             within_one_percent(legal, golden_legal),
             "{topology}: legalized HPWL {legal:.3} vs golden {golden_legal:.3}"

@@ -1,11 +1,10 @@
-//! Golden staged-vs-monolithic equivalence suite.
+//! Golden staged-equivalence suite.
 //!
-//! The staged [`Session`] API must be a pure refactoring of the monolithic
-//! `run_flow`: every artifact the staged pipeline produces — placements, reports,
-//! fidelities — must be **bit-identical** to what `run_flow` returns for the same
-//! inputs, whether the stages are forked from one shared [`GlobalPlacement`]
-//! artifact or recomputed per strategy, and whether the batch surface runs on one
-//! worker or many.
+//! Every way of driving the staged flow must produce the same bits: stages
+//! forked from one shared [`GlobalPlacement`] artifact must equal a fresh
+//! [`Session::run`] per strategy (placements, reports, die), the batch surface
+//! must equal serial staging on one worker or many, and artifact fidelities
+//! must equal a from-scratch `qgdp_metrics::mean_fidelity` evaluation.
 
 use qgdp::prelude::*;
 
@@ -17,9 +16,9 @@ fn config() -> FlowConfig {
 }
 
 #[test]
-fn staged_artifacts_are_bit_identical_to_run_flow_for_all_strategies() {
+fn forked_stages_match_fresh_session_runs_bit_for_bit() {
     // One shared GP artifact per topology feeds all five strategies; every staged
-    // output must equal the five independent monolithic flows bit for bit.
+    // output must equal five independent fresh-session flows bit for bit.
     for topology in [
         StandardTopology::Grid,
         StandardTopology::Falcon,
@@ -32,36 +31,38 @@ fn staged_artifacts_are_bit_identical_to_run_flow_for_all_strategies() {
             let staged = gp
                 .legalize(strategy)
                 .unwrap_or_else(|e| panic!("{strategy} failed on {topology}: {e}"));
-            let mono = run_flow(&topo, strategy, &config())
+            let fresh = Session::new(&topo, config())
+                .and_then(|fresh| fresh.run(FlowRequest::legalize(strategy)))
                 .unwrap_or_else(|e| panic!("{strategy} failed on {topology}: {e}"));
+            let fresh_gp = fresh.legalized().global();
             assert_eq!(
                 gp.placement(),
-                &mono.gp_placement,
+                fresh_gp.placement(),
                 "{topology}/{strategy}: GP positions diverged"
             );
             assert_eq!(
                 staged.qubit_stage().placement(),
-                &mono.qubit_legalized,
+                fresh.legalized().qubit_stage().placement(),
                 "{topology}/{strategy}: qubit-LG positions diverged"
             );
             assert_eq!(
                 staged.placement(),
-                &mono.legalized,
+                fresh.final_placement(),
                 "{topology}/{strategy}: legalized positions diverged"
             );
             assert_eq!(
                 gp.report(),
-                &mono.gp_report,
+                fresh_gp.report(),
                 "{topology}/{strategy}: GP report diverged"
             );
             assert_eq!(
                 staged.report(),
-                &mono.legalized_report,
+                fresh.report(),
                 "{topology}/{strategy}: legalized report diverged"
             );
             assert_eq!(
                 staged.die(),
-                mono.die,
+                fresh.die(),
                 "{topology}/{strategy}: die diverged"
             );
         }
@@ -69,33 +70,38 @@ fn staged_artifacts_are_bit_identical_to_run_flow_for_all_strategies() {
 }
 
 #[test]
-fn staged_detailed_placement_is_bit_identical_to_run_flow() {
+fn staged_detailed_placement_matches_a_fresh_session_run() {
     for topology in [StandardTopology::Grid, StandardTopology::Aspen11] {
         let topo = topology.build();
-        let cfg = config().with_detailed_placement(true);
-        let staged = Session::new(&topo, cfg)
+        let staged = Session::new(&topo, config())
             .expect("session builds")
-            .run(LegalizationStrategy::Qgdp)
-            .expect("staged flow succeeds");
-        let dp = staged.detailed().expect("DP ran");
-        let mono = run_flow(&topo, LegalizationStrategy::Qgdp, &cfg).expect("run_flow succeeds");
+            .global_place()
+            .legalize(LegalizationStrategy::Qgdp)
+            .expect("legalization succeeds")
+            .detail();
+        let fresh = Session::new(&topo, config())
+            .and_then(|fresh| {
+                fresh.run(FlowRequest::detailed(
+                    LegalizationStrategy::Qgdp,
+                    config().detail,
+                ))
+            })
+            .expect("fresh flow succeeds");
+        let dp = fresh.detailed().expect("DP ran");
         assert_eq!(
+            staged.placement(),
             dp.placement(),
-            mono.detailed.as_ref().expect("DP ran"),
             "{topology}: DP positions diverged"
         );
         assert_eq!(
+            staged.report(),
             dp.report(),
-            mono.detailed_report.as_ref().expect("DP ran"),
             "{topology}: DP report diverged"
         );
-        // The shim conversion round-trips the same bits.
-        let converted = staged.into_flow_result();
-        assert_eq!(converted.detailed, mono.detailed, "{topology}");
-        assert_eq!(converted.legalized, mono.legalized, "{topology}");
         assert_eq!(
-            converted.detailed_report, mono.detailed_report,
-            "{topology}"
+            staged.legalized().placement(),
+            fresh.legalized().placement(),
+            "{topology}: legalized positions diverged"
         );
     }
 }
@@ -160,7 +166,9 @@ fn batch_surface_is_bit_identical_to_serial_staging() {
 
     for threads in [1, 3, 8] {
         let batched = session
-            .run_batch_with_threads(&requests, threads)
+            .try_run_batch_with_threads(&requests, threads)
+            .into_iter()
+            .collect::<Result<Vec<_>, _>>()
             .expect("batch succeeds");
         assert_eq!(batched.len(), requests.len());
         for ((req, artifact), (placement, report)) in requests.iter().zip(&batched).zip(&serial) {
@@ -183,129 +191,33 @@ fn batch_surface_is_bit_identical_to_serial_staging() {
 }
 
 #[test]
-fn all_or_nothing_shims_are_golden_over_the_try_surface() {
-    // `run_batch` / `run_matrix` are thin shims over `try_run_batch` /
-    // `try_run_matrix`: on all-success inputs they must return exactly the
-    // artifacts of the fault-isolated surface, in the same order.
-    let topo = StandardTopology::Falcon.build();
-    let session = Session::new(&topo, config()).expect("session builds");
-    let requests: Vec<FlowRequest> = LegalizationStrategy::all()
-        .into_iter()
-        .flat_map(|s| {
-            [
-                FlowRequest::legalize(s),
-                FlowRequest::detailed(s, DetailedPlacerConfig::new()),
-            ]
-        })
-        .collect();
-    for threads in [1, 3, 8] {
-        let shim = session
-            .run_batch_with_threads(&requests, threads)
-            .expect("all-success batch");
-        let tried = session.try_run_batch_with_threads(&requests, threads);
-        assert_eq!(shim.len(), tried.len());
-        for (index, (a, b)) in shim.iter().zip(&tried).enumerate() {
-            let b = b.as_ref().expect("all-success try surface");
-            assert_eq!(
-                a.final_placement(),
-                b.final_placement(),
-                "request {index}/threads={threads}: shim diverged from try surface"
-            );
-            assert_eq!(a.report(), b.report(), "request {index}/threads={threads}");
-        }
-    }
-
-    let strategies = LegalizationStrategy::all();
-    let details = [None, Some(DetailedPlacerConfig::new())];
-    let matrix = session.run_matrix(&strategies, &details).expect("matrix");
-    let tried = session.try_run_matrix(&strategies, &details);
-    for (cell, (a, b)) in matrix.iter().zip(&tried).enumerate() {
-        let b = b.as_ref().expect("all-success try matrix");
-        assert_eq!(a.final_placement(), b.final_placement(), "cell {cell}");
-    }
-}
-
-#[test]
-fn shim_error_is_the_first_failing_strategy_in_request_appearance_order() {
-    // Contract (see the `run_batch` docs): the all-or-nothing shims surface the
-    // error of the first failing strategy in request *first-appearance* order —
-    // NOT the first failing request index, and NOT `LegalizationStrategy::all()`
-    // order.  Over-pack the die so several strategies fail organically, then
-    // order the requests to make the three candidate orders distinguishable.
-    let geometry = ComponentGeometry {
-        qubit_width: 80.0,
-        qubit_height: 80.0,
-        ..ComponentGeometry::new()
-    };
-    let cfg = FlowConfig::default()
-        .with_seed(7)
-        .with_geometry(geometry)
-        .with_gp(GlobalPlacerConfig::default().with_utilization(0.9));
-    let topo = StandardTopology::Grid.build();
-    let session = Session::new(&topo, cfg).expect("session builds");
-
-    let outcomes = session.try_run_batch(
-        &LegalizationStrategy::all()
-            .into_iter()
-            .map(FlowRequest::legalize)
-            .collect::<Vec<_>>(),
-    );
-    let failing: Vec<LegalizationStrategy> = LegalizationStrategy::all()
-        .into_iter()
-        .zip(&outcomes)
-        .filter(|(_, o)| o.is_err())
-        .map(|(s, _)| s)
-        .collect();
-    let surviving: Vec<LegalizationStrategy> = LegalizationStrategy::all()
-        .into_iter()
-        .zip(&outcomes)
-        .filter(|(_, o)| o.is_ok())
-        .map(|(s, _)| s)
-        .collect();
-    assert!(
-        failing.len() >= 2 && !surviving.is_empty(),
-        "need >=2 organic failures and a survivor to pin the order \
-         (failing: {failing:?}, surviving: {surviving:?})"
-    );
-
-    // Put a survivor first, then the failing strategies in *reverse* canonical
-    // order: appearance order now disagrees with both index order within
-    // `all()` and the canonical strategy order.
-    let mut requests = vec![FlowRequest::legalize(surviving[0])];
-    requests.extend(failing.iter().rev().map(|&s| FlowRequest::legalize(s)));
-    let expected = *failing.last().expect("non-empty");
-
-    for threads in [1, 3, 8] {
-        let error = session
-            .run_batch_with_threads(&requests, threads)
-            .expect_err("a failing strategy must fail the shim batch");
-        assert_eq!(
-            error.strategy(),
-            Some(expected),
-            "threads={threads}: the shim must surface the first failing strategy \
-             in request appearance order"
-        );
-        assert_eq!(error.request(), Some(1), "threads={threads}");
-    }
-}
-
-#[test]
-fn artifact_fidelity_matches_flow_result_fidelity_bits() {
+fn artifact_fidelity_matches_from_scratch_mean_fidelity_bits() {
+    // The artifact evaluates fidelity off its cached layout scan; a from-scratch
+    // `mean_fidelity` on a fresh session's layout must give the same bits.
     let topo = StandardTopology::Grid.build();
     let staged = Session::new(&topo, config())
         .expect("session builds")
         .global_place()
         .legalize(LegalizationStrategy::Qgdp)
         .expect("legalization succeeds");
-    let mono = run_flow(&topo, LegalizationStrategy::Qgdp, &config()).expect("run_flow succeeds");
+    let fresh = Session::new(&topo, config())
+        .and_then(|fresh| fresh.run(FlowRequest::legalize(LegalizationStrategy::Qgdp)))
+        .expect("fresh flow succeeds");
     let noise = NoiseModel::default();
     for (benchmark, mappings, seed) in [(Benchmark::Bv4, 8, 7u64), (Benchmark::Qaoa4, 5, 99)] {
         let a = staged.mean_benchmark_fidelity(benchmark, mappings, &noise, seed);
-        let b = mono.mean_benchmark_fidelity(benchmark, mappings, &noise, seed);
+        let maps = random_mappings(&benchmark.circuit(), &topo, mappings, seed);
+        let b = mean_fidelity(
+            fresh.netlist(),
+            fresh.final_placement(),
+            &maps,
+            &noise,
+            &config().crosstalk,
+        );
         assert_eq!(
             a.to_bits(),
             b.to_bits(),
-            "{benchmark:?}: staged {a:.17} vs monolithic {b:.17}"
+            "{benchmark:?}: staged {a:.17} vs from-scratch {b:.17}"
         );
     }
 }
@@ -318,7 +230,9 @@ fn matrix_artifacts_share_one_gp_and_netlist_allocation() {
     let topo = StandardTopology::Grid.build();
     let session = Session::new(&topo, config()).expect("session builds");
     let artifacts = session
-        .run_matrix(&LegalizationStrategy::all(), &[None])
+        .try_run_matrix(&LegalizationStrategy::all(), &[None])
+        .into_iter()
+        .collect::<Result<Vec<_>, _>>()
         .expect("matrix succeeds");
     let first = artifacts[0].legalized().global();
     for artifact in &artifacts[1..] {

@@ -1,5 +1,5 @@
 //! Cross-strategy integration tests: the five legalization strategies of the paper
-//! are batched through [`Session::run_matrix`] — so they share one global placement
+//! are batched through [`Session::try_run_matrix`] — so they share one global placement
 //! structurally — and compared on legality, integration and hotspot metrics.
 
 use qgdp::prelude::*;
@@ -13,7 +13,9 @@ fn run_all(
     let session = Session::new(&topology.build(), FlowConfig::default().with_seed(seed))
         .unwrap_or_else(|e| panic!("session for {topology:?}: {e}"));
     let artifacts = session
-        .run_matrix(&LegalizationStrategy::all(), &[None])
+        .try_run_matrix(&LegalizationStrategy::all(), &[None])
+        .into_iter()
+        .collect::<Result<Vec<_>, _>>()
         .unwrap_or_else(|e| panic!("matrix failed on {topology:?}: {e}"));
     let by_strategy = artifacts.into_iter().map(|a| (a.strategy(), a)).collect();
     (session, by_strategy)
