@@ -19,7 +19,8 @@
 //! a fidelity evaluation runs one [`LayoutScan`] of the stage placement and caches it
 //! in the artifact (shared across clones), so callers that only need placements never
 //! pay for metrics, and callers that need several metric views of one placement pay
-//! for the layout walk exactly once.
+//! for the layout walk exactly once.  A [`Detailed`] artifact starts with the
+//! detailed placer's final scan in that cache, since the placer maintains it anyway.
 //!
 //! Wall-clock cost is traced per stage as [`StageEvent`]s ([`CellLegalized::events`]).
 
@@ -604,6 +605,10 @@ impl CellLegalized {
 
     /// Runs detailed placement (§III-E) with an explicit configuration.  One
     /// legalized artifact can be forked into many detailed placements.
+    ///
+    /// The placer's final layout scan seeds the artifact's scan cache when it was
+    /// taken under the session's crosstalk thresholds; otherwise the scan stays
+    /// lazy.
     #[must_use]
     pub fn detail_with(&self, config: DetailedPlacerConfig) -> Detailed {
         let start = Instant::now();
@@ -613,6 +618,11 @@ impl CellLegalized {
             stage: Stage::DetailedPlacement,
             duration: start.elapsed(),
         };
+        let scan = if config.crosstalk == self.config().crosstalk {
+            OnceLock::from(Arc::new(outcome.scan))
+        } else {
+            OnceLock::new()
+        };
         Detailed {
             legalized: self.clone(),
             placement: Arc::new(outcome.placement),
@@ -620,7 +630,7 @@ impl CellLegalized {
             windows_accepted: outcome.windows_accepted,
             event,
             report: Arc::new(OnceLock::new()),
-            scan: Arc::new(OnceLock::new()),
+            scan: Arc::new(scan),
         }
     }
 
@@ -731,9 +741,10 @@ impl Detailed {
         events
     }
 
-    /// The one-pass layout scan of the refined layout, computed lazily on first
-    /// call and cached — one scan feeds both [`Detailed::report`] and
-    /// [`Detailed::mean_benchmark_fidelity`].
+    /// The one-pass layout scan of the refined layout — the detailed placer's own
+    /// scan, or computed lazily on first call when the placer scored under other
+    /// crosstalk thresholds than the session's — cached and shared by
+    /// [`Detailed::report`] and [`Detailed::mean_benchmark_fidelity`].
     #[must_use]
     pub fn scan(&self) -> &LayoutScan {
         self.scan_arc()
@@ -747,15 +758,6 @@ impl Detailed {
                 &self.legalized.config().crosstalk,
             ))
         })
-    }
-
-    /// Seeds the lazy scan cache with an externally-assembled scan (the
-    /// [`ReportDelta`](qgdp_metrics::ReportDelta) scoring path of the batch
-    /// engine).  The caller owes the bit-identity contract: `scan` must equal a
-    /// from-scratch [`LayoutScan::scan`] of this placement.  A no-op when the
-    /// cache is already populated.
-    pub(crate) fn prime_scan(&self, scan: Arc<LayoutScan>) {
-        let _ = self.scan.set(scan);
     }
 
     /// Layout metrics of the refined layout, computed lazily on first call and cached.

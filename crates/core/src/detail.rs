@@ -5,27 +5,31 @@
 //! in *frequency hotspots*, builds a processing window around each problematic
 //! resonator and its neighbours, rips the window's wire blocks up and re-places each
 //! resonator along a maze-routed path of free bins between its two endpoint qubits.
-//! The window is accepted only if neither the cumulative cluster count nor the hotspot
-//! measure got worse — otherwise the previous positions are restored, exactly the
-//! guard of Algorithm 2.
+//! The window is accepted only if neither the cluster count nor the hotspot measure
+//! got worse — otherwise the previous positions are restored, exactly the guard of
+//! Algorithm 2.
 //!
-//! # Fidelity-guided mode
+//! One engine runs every window: a single [`ReportDelta`] is built from the
+//! legalized layout, each pass reads its problem set from it, every rerouted window
+//! is mirrored into it before it is scored, and a rejected window is reverted
+//! through it (a revert is just a move back).  The final delta state is the
+//! refined layout's [`LayoutScan`], handed out with the placement.
 //!
-//! With [`DetailedPlacerConfig::fidelity_guided`] set (default **off**), the placer
-//! scores windows through one incrementally-maintained [`ReportDelta`] instead of
-//! re-running the from-scratch violation/crossing scans per window: candidate moves
-//! are mirrored into the delta engine, windows are accepted on the global
-//! `(cluster count, crossing count, crosstalk cost)` triple, and rejected windows are
-//! reverted *through* the delta (a revert is just a move back).  The default-off path
-//! is byte-for-byte the historical algorithm.
+//! # Acceptance guards
+//!
+//! [`DetailedPlacerConfig::fidelity_guided`] picks the guard a window is scored on:
+//!
+//! - **off** (default): the window-local triple of Algorithm 2 — the cluster count
+//!   of the window's resonators, the Eq. 4 hotspot numerator over violations that
+//!   touch a window wire block, and the crossings of resonator pairs that touch the
+//!   window;
+//! - **on**: the global `(cluster count, crossing count, crosstalk cost)` triple,
+//!   which prices violations and crossings with the Eq. 8 physics the fidelity
+//!   model uses.
 
 use qgdp_geometry::{BinGrid, BinId, BinState, Point, Rect};
-use qgdp_metrics::{
-    find_violations, CrosstalkConfig, CrosstalkModel, ReportDelta, SpatialViolation,
-};
-use qgdp_netlist::{
-    resonator_clusters, ComponentId, Placement, QuantumNetlist, ResonatorId, SegmentId,
-};
+use qgdp_metrics::{CrosstalkConfig, CrosstalkModel, LayoutScan, ReportDelta};
+use qgdp_netlist::{ComponentId, Placement, QuantumNetlist, ResonatorId, SegmentId};
 use std::collections::{BTreeSet, HashMap, VecDeque};
 
 /// Exposure time (ns) at which the fidelity-guided mode prices crosstalk: the order
@@ -33,22 +37,31 @@ use std::collections::{BTreeSet, HashMap, VecDeque};
 /// the fidelity model would weight them.
 const GUIDED_EXPOSURE_NS: f64 = 10_000.0;
 
+/// Slack on the window-local hotspot measure, which sums floating-point
+/// contributions; the global crosstalk cost is compared exactly.
+const LOCAL_HOTSPOT_TOLERANCE: f64 = 1e-12;
+
+/// Window blocks and their positions before a reroute, in window order
+/// (resonators ascending, each resonator's segments in order).
+type Snapshot = Vec<(SegmentId, Point)>;
+
 /// Configuration of the detailed placer.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct DetailedPlacerConfig {
     /// Margin added around the problematic resonator's bounding box when building the
     /// processing window, in wire-block units.
     pub window_margin_cells: f64,
-    /// Maximum number of windows processed in one pass (a safety bound; the default is
-    /// high enough that every problematic resonator is visited).
+    /// Maximum number of windows processed over all passes (a safety bound; the
+    /// default is high enough that every problematic resonator is visited).
     pub max_windows: usize,
     /// Number of refinement passes over the problem list.
     pub passes: usize,
     /// Crosstalk thresholds used to detect hotspots.
     pub crosstalk: CrosstalkConfig,
-    /// Score windows through an incremental [`ReportDelta`] on the global
-    /// `(clusters, crossings, crosstalk cost)` objective instead of the local
-    /// from-scratch measures.  Default **off**: the historical Algorithm 2 guard.
+    /// Picks the acceptance guard: **off** (default) scores a window on Algorithm
+    /// 2's window-local cluster, hotspot and crossing measures; **on** scores it
+    /// on the global `(clusters, crossings, crosstalk cost)` objective.  Both
+    /// guards run on the same engine.
     pub fidelity_guided: bool,
 }
 
@@ -88,6 +101,10 @@ pub struct DetailedPlacementOutcome {
     pub windows_processed: usize,
     /// Number of windows whose re-placement was accepted.
     pub windows_accepted: usize,
+    /// The layout scan of `placement` under the placer's
+    /// [`DetailedPlacerConfig::crosstalk`] — equal to a from-scratch
+    /// [`LayoutScan::scan`].
+    pub scan: LayoutScan,
 }
 
 /// The qGDP detailed placer (Algorithm 2).
@@ -120,7 +137,7 @@ impl DetailedPlacer {
     /// Runs detailed placement on `legalized` and returns the refined layout.
     ///
     /// The input must already be legal (no overlaps); the output preserves legality,
-    /// never moves qubits, and never regresses the cluster count or hotspot measure.
+    /// never moves qubits, and never regresses the guard's objective.
     #[must_use]
     pub fn place(
         &self,
@@ -128,177 +145,34 @@ impl DetailedPlacer {
         die: &Rect,
         legalized: &Placement,
     ) -> DetailedPlacementOutcome {
-        if self.config.fidelity_guided {
-            return self.place_guided(netlist, die, legalized);
-        }
-        let mut placement = legalized.clone();
-        let mut processed = 0usize;
-        let mut accepted = 0usize;
-
-        for _ in 0..self.config.passes {
-            let problems = self.problem_resonators(netlist, &placement);
-            if problems.is_empty() {
-                break;
-            }
-            for &resonator in &problems {
-                if processed >= self.config.max_windows {
-                    break;
-                }
-                processed += 1;
-                if self.optimize_window(netlist, die, &mut placement, resonator) {
-                    accepted += 1;
-                }
-            }
-        }
-
-        DetailedPlacementOutcome {
-            placement,
-            windows_processed: processed,
-            windows_accepted: accepted,
-        }
-    }
-
-    /// The fidelity-guided variant of [`DetailedPlacer::place`]: one incremental
-    /// [`ReportDelta`] is threaded through every window, so per-window scoring costs
-    /// only the moved components' spatial neighbourhoods instead of a full layout
-    /// re-scan, and the acceptance guard prices violations and crossings with the
-    /// Eq. 8 physics the fidelity model uses.
-    fn place_guided(
-        &self,
-        netlist: &QuantumNetlist,
-        die: &Rect,
-        legalized: &Placement,
-    ) -> DetailedPlacementOutcome {
         let mut placement = legalized.clone();
         let mut delta = ReportDelta::new(netlist, &placement, &self.config.crosstalk);
-        let model = CrosstalkModel::default();
         let mut processed = 0usize;
         let mut accepted = 0usize;
 
         for _ in 0..self.config.passes {
-            // The problem set comes straight out of the delta state — no fresh
-            // `find_violations` walk per pass.
-            let problems = self.problem_resonators_from_delta(netlist, &delta);
+            let budget = self.config.max_windows - processed;
+            if budget == 0 {
+                break;
+            }
+            let problems = problem_resonators(netlist, &delta);
             if problems.is_empty() {
                 break;
             }
-            for &resonator in &problems {
-                if processed >= self.config.max_windows {
-                    break;
-                }
+            for &resonator in problems.iter().take(budget) {
                 processed += 1;
-                if self.optimize_window_guided(
-                    netlist,
-                    die,
-                    &mut placement,
-                    &mut delta,
-                    &model,
-                    resonator,
-                ) {
+                if self.optimize_window(netlist, die, &mut placement, &mut delta, resonator) {
                     accepted += 1;
                 }
             }
         }
 
         DetailedPlacementOutcome {
+            scan: delta.to_scan(),
             placement,
             windows_processed: processed,
             windows_accepted: accepted,
         }
-    }
-
-    /// The `E_c ∪ E_h` set of Algorithm 2: non-unified resonators plus resonators
-    /// involved in at least one spatial violation.
-    fn problem_resonators(
-        &self,
-        netlist: &QuantumNetlist,
-        placement: &Placement,
-    ) -> Vec<ResonatorId> {
-        let violations = find_violations(netlist, placement, &self.config.crosstalk);
-        let mut set: BTreeSet<ResonatorId> = BTreeSet::new();
-        for r in netlist.resonator_ids() {
-            if resonator_clusters(netlist, placement, r).len() > 1 {
-                set.insert(r);
-            }
-        }
-        for v in &violations {
-            for id in [v.a, v.b] {
-                if let ComponentId::Segment(s) = id {
-                    set.insert(netlist.block(s).resonator());
-                }
-            }
-        }
-        set.into_iter().collect()
-    }
-
-    /// Hotspot measure restricted to a set of resonators: the Eq. 4 numerator summed
-    /// over violations that touch any segment of those resonators.
-    fn local_hotspot_measure(
-        violations: &[SpatialViolation],
-        netlist: &QuantumNetlist,
-        resonators: &BTreeSet<ResonatorId>,
-    ) -> f64 {
-        violations
-            .iter()
-            .filter(|v| {
-                [v.a, v.b].iter().any(|id| match id {
-                    ComponentId::Segment(s) => resonators.contains(&netlist.block(*s).resonator()),
-                    ComponentId::Qubit(_) => false,
-                })
-            })
-            .map(|v| v.adjacency_length * v.centroid_distance)
-            .sum()
-    }
-
-    /// Crossing count restricted to pairs involving at least one of the given
-    /// resonators (each unordered pair counted once).
-    fn local_crossings(
-        netlist: &QuantumNetlist,
-        placement: &Placement,
-        resonators: &BTreeSet<ResonatorId>,
-    ) -> usize {
-        qgdp_metrics::crossing_pairs(netlist, placement)
-            .into_iter()
-            .filter(|(a, b, _)| resonators.contains(a) || resonators.contains(b))
-            .map(|(_, _, n)| n)
-            .sum()
-    }
-
-    /// Total cluster count over a set of resonators.
-    fn local_cluster_count(
-        netlist: &QuantumNetlist,
-        placement: &Placement,
-        resonators: &BTreeSet<ResonatorId>,
-    ) -> usize {
-        resonators
-            .iter()
-            .map(|&r| resonator_clusters(netlist, placement, r).len())
-            .sum()
-    }
-
-    /// The guided-mode problem set: identical in meaning to
-    /// [`DetailedPlacer::problem_resonators`], but read out of the delta engine's
-    /// incrementally-maintained cluster counts and violation set.
-    fn problem_resonators_from_delta(
-        &self,
-        netlist: &QuantumNetlist,
-        delta: &ReportDelta<'_>,
-    ) -> Vec<ResonatorId> {
-        let scan = delta.to_scan();
-        let mut set: BTreeSet<ResonatorId> = BTreeSet::new();
-        for (i, &count) in scan.clusters.cluster_counts.iter().enumerate() {
-            if count > 1 {
-                set.insert(ResonatorId(i));
-            }
-        }
-        for v in &scan.violations {
-            for id in [v.a, v.b] {
-                if let ComponentId::Segment(s) = id {
-                    set.insert(netlist.block(s).resonator());
-                }
-            }
-        }
-        set.into_iter().collect()
     }
 
     /// The window around `resonator` — the problem resonator plus every resonator
@@ -309,7 +183,7 @@ impl DetailedPlacer {
         netlist: &QuantumNetlist,
         placement: &Placement,
         resonator: ResonatorId,
-    ) -> Option<(BTreeSet<ResonatorId>, HashMap<SegmentId, Point>)> {
+    ) -> Option<(BTreeSet<ResonatorId>, Snapshot)> {
         let lb = netlist.geometry().wire_block_size;
         let margin = self.config.window_margin_cells * lb;
 
@@ -338,7 +212,7 @@ impl DetailedPlacer {
             }
         }
 
-        let snapshot: HashMap<SegmentId, Point> = window_resonators
+        let snapshot: Snapshot = window_resonators
             .iter()
             .flat_map(|&r| netlist.resonator(r).segments().iter().copied())
             .map(|s| (s, placement.segment(s)))
@@ -388,13 +262,15 @@ impl DetailedPlacer {
         true
     }
 
-    /// Processes one window centred on `resonator`.  Returns `true` if the
-    /// re-placement was accepted.
+    /// Processes one window centred on `resonator`: score it, reroute it, mirror
+    /// the moved blocks into `delta`, score it again, then keep the reroute or
+    /// revert it (Algorithm 2, lines 7–9).  Returns `true` if it was accepted.
     fn optimize_window(
         &self,
         netlist: &QuantumNetlist,
         die: &Rect,
         placement: &mut Placement,
+        delta: &mut ReportDelta<'_>,
         resonator: ResonatorId,
     ) -> bool {
         let Some((window_resonators, snapshot)) = self.build_window(netlist, placement, resonator)
@@ -402,104 +278,78 @@ impl DetailedPlacer {
             return false;
         };
 
-        // The "before" objective, from from-scratch scans (the historical path).
-        let violations_before = find_violations(netlist, placement, &self.config.crosstalk);
-        let clusters_before = Self::local_cluster_count(netlist, placement, &window_resonators);
-        let hotspots_before =
-            Self::local_hotspot_measure(&violations_before, netlist, &window_resonators);
-        let crossings_before = Self::local_crossings(netlist, placement, &window_resonators);
-
-        let ok = self.reroute_window(netlist, die, placement, &window_resonators, resonator);
-
-        // Evaluate and accept / revert (Algorithm 2, lines 7–9).
-        let mut accept = ok;
-        if ok {
-            let violations_after = find_violations(netlist, placement, &self.config.crosstalk);
-            let clusters_after = Self::local_cluster_count(netlist, placement, &window_resonators);
-            let hotspots_after =
-                Self::local_hotspot_measure(&violations_after, netlist, &window_resonators);
-            let crossings_after = Self::local_crossings(netlist, placement, &window_resonators);
-            let not_worse = clusters_after <= clusters_before
-                && hotspots_after <= hotspots_before + 1e-12
-                && crossings_after <= crossings_before;
-            let strictly_better = clusters_after < clusters_before
-                || hotspots_after < hotspots_before - 1e-12
-                || crossings_after < crossings_before;
-            accept = not_worse && strictly_better;
+        let before = self.score(netlist, delta, &window_resonators);
+        let rerouted = self.reroute_window(netlist, die, placement, &window_resonators, resonator);
+        let moved: Snapshot = snapshot
+            .into_iter()
+            .filter(|&(s, old)| placement.segment(s) != old)
+            .collect();
+        if !rerouted {
+            // The delta never saw these moves, so only the placement is restored.
+            for (s, old) in moved {
+                placement.set_segment(s, old);
+            }
+            return false;
         }
+
+        for &(s, _) in &moved {
+            delta.apply_move(ComponentId::Segment(s), placement.segment(s));
+        }
+        let ((c0, h0, x0), (c1, h1, x1)) = (before, self.score(netlist, delta, &window_resonators));
+        let tolerance = if self.config.fidelity_guided {
+            0.0
+        } else {
+            LOCAL_HOTSPOT_TOLERANCE
+        };
+        // Not worse in any term, and strictly better in at least one.
+        let accept = (c1 <= c0 && h1 <= h0 + tolerance && x1 <= x0)
+            && (c1 < c0 || h1 < h0 - tolerance || x1 < x0);
         if !accept {
-            for (s, p) in snapshot {
-                placement.set_segment(s, p);
+            for (s, old) in moved {
+                delta.apply_move(ComponentId::Segment(s), old);
+                placement.set_segment(s, old);
             }
         }
         accept
     }
 
-    /// The guided variant of [`DetailedPlacer::optimize_window`]: the same window
-    /// construction and maze reroute, but scored on the **global**
-    /// `(cluster count, crossing count, crosstalk cost)` triple maintained
-    /// incrementally by `delta`, and reverted through the delta on rejection.
-    fn optimize_window_guided(
+    /// The guard's `(clusters, hotspot measure or crosstalk cost, crossings)`
+    /// triple for the window over `window_resonators`, read from `delta` (see the
+    /// [module docs](self)); lower is better in every term.  Every sum runs in the
+    /// from-scratch scans' order, so each reading carries their bits.
+    fn score(
         &self,
         netlist: &QuantumNetlist,
-        die: &Rect,
-        placement: &mut Placement,
-        delta: &mut ReportDelta<'_>,
-        model: &CrosstalkModel,
-        resonator: ResonatorId,
-    ) -> bool {
-        let Some((window_resonators, snapshot)) = self.build_window(netlist, placement, resonator)
-        else {
-            return false;
+        delta: &ReportDelta<'_>,
+        window_resonators: &BTreeSet<ResonatorId>,
+    ) -> (usize, f64, usize) {
+        if self.config.fidelity_guided {
+            return (
+                delta.total_clusters(),
+                delta.crosstalk_cost(&CrosstalkModel::default(), GUIDED_EXPOSURE_NS),
+                delta.crossing_count(),
+            );
+        }
+        let in_window = |id: ComponentId| match id {
+            ComponentId::Segment(s) => window_resonators.contains(&netlist.block(s).resonator()),
+            ComponentId::Qubit(_) => false,
         };
-
-        let clusters_before = delta.total_clusters();
-        let crossings_before = delta.crossing_count();
-        let cost_before = delta.crosstalk_cost(model, GUIDED_EXPOSURE_NS);
-
-        if !self.reroute_window(netlist, die, placement, &window_resonators, resonator) {
-            // Reroute failed part-way: the delta never saw these moves, so only the
-            // placement needs restoring.
-            for (s, p) in snapshot {
-                placement.set_segment(s, p);
-            }
-            return false;
-        }
-
-        // Mirror the accepted-candidate moves into the delta engine.  The final
-        // delta state depends only on the final positions, not on the order the
-        // moves are applied in.
-        let moved: Vec<SegmentId> = snapshot
-            .iter()
-            .filter(|&(&s, &old)| placement.segment(s) != old)
-            .map(|(&s, _)| s)
-            .collect();
-        for &s in &moved {
-            delta.apply_move(ComponentId::Segment(s), placement.segment(s));
-        }
-
-        // Both cost readings are canonical-order sums over the delta's maps, so the
-        // comparison is exact and deterministic — no epsilon guard needed.
-        let clusters_after = delta.total_clusters();
-        let crossings_after = delta.crossing_count();
-        let cost_after = delta.crosstalk_cost(model, GUIDED_EXPOSURE_NS);
-        let not_worse = clusters_after <= clusters_before
-            && crossings_after <= crossings_before
-            && cost_after <= cost_before;
-        let strictly_better = clusters_after < clusters_before
-            || crossings_after < crossings_before
-            || cost_after < cost_before;
-        let accept = not_worse && strictly_better;
-
-        if !accept {
-            // A revert is just a move back — the delta stays exact either way.
-            for &s in &moved {
-                let original = snapshot[&s];
-                delta.apply_move(ComponentId::Segment(s), original);
-                placement.set_segment(s, original);
-            }
-        }
-        accept
+        (
+            window_resonators
+                .iter()
+                .map(|&r| delta.cluster_count(r))
+                .sum(),
+            delta
+                .violations()
+                .filter(|v| in_window(v.a) || in_window(v.b))
+                .map(|v| v.adjacency_length * v.centroid_distance)
+                .sum(),
+            delta
+                .crossing_pairs()
+                .filter(|(a, b, _)| window_resonators.contains(a) || window_resonators.contains(b))
+                .map(|(_, _, n)| n)
+                .sum(),
+        )
     }
 
     /// Re-places one resonator's blocks along a maze-routed path of free bins between
@@ -563,6 +413,23 @@ impl DetailedPlacer {
     }
 }
 
+/// The `E_c ∪ E_h` set of Algorithm 2, read from `delta`: non-unified resonators
+/// plus resonators involved in at least one spatial violation, ascending.
+fn problem_resonators(netlist: &QuantumNetlist, delta: &ReportDelta<'_>) -> Vec<ResonatorId> {
+    let mut set: BTreeSet<ResonatorId> = netlist
+        .resonator_ids()
+        .filter(|&r| delta.cluster_count(r) > 1)
+        .collect();
+    for v in delta.violations() {
+        for id in [v.a, v.b] {
+            if let ComponentId::Segment(s) = id {
+                set.insert(netlist.block(s).resonator());
+            }
+        }
+    }
+    set.into_iter().collect()
+}
+
 /// The free bin nearest to `point` (linear scan; windows are small so this is cheap
 /// relative to the BFS that follows).
 fn nearest_free_bin(grid: &BinGrid, point: Point) -> Option<BinId> {
@@ -606,7 +473,9 @@ fn bfs_path(grid: &BinGrid, start: BinId, goal: BinId) -> Option<Vec<BinId>> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{QuantumQubitLegalizer, ResonatorLegalizer};
+    use crate::{
+        FlowConfig, LegalizationStrategy, QuantumQubitLegalizer, ResonatorLegalizer, Session,
+    };
     use qgdp_legalize::{is_legal, CellLegalizer as _, QubitLegalizer as _};
     use qgdp_metrics::LayoutReport;
     use qgdp_netlist::{ClusterReport, ComponentGeometry, NetModel};
@@ -670,8 +539,8 @@ mod tests {
                 .with_fidelity_guided(true)
                 .fidelity_guided
         );
-        // An explicitly-off config routes through the historical path and matches
-        // the default placer exactly.
+        // An explicitly-off config picks the window-local guard and matches the
+        // default placer exactly.
         let (netlist, die, legal) = legalized(StandardTopology::Grid);
         let default_outcome = DetailedPlacer::new().place(&netlist, &die, &legal);
         let off_outcome =
@@ -712,6 +581,43 @@ mod tests {
                 "{topology:?}: crosstalk cost regressed"
             );
         }
+    }
+
+    #[test]
+    fn outcome_scan_is_the_from_scratch_scan_of_the_output() {
+        let (netlist, die, legal) = legalized(StandardTopology::Grid);
+        for guided in [false, true] {
+            let config = DetailedPlacerConfig::new().with_fidelity_guided(guided);
+            let outcome = DetailedPlacer::with_config(config).place(&netlist, &die, &legal);
+            assert_eq!(
+                outcome.scan,
+                LayoutScan::scan(&netlist, &outcome.placement, &config.crosstalk),
+                "guided={guided}"
+            );
+        }
+    }
+
+    #[test]
+    fn window_cap_ends_every_pass() {
+        let topo = StandardTopology::Grid.build();
+        let session = Session::new(&topo, FlowConfig::default().with_seed(7)).unwrap();
+        let cell = session
+            .global_place()
+            .legalize(LegalizationStrategy::QTetris)
+            .unwrap();
+        let place = |max_windows| {
+            let config = DetailedPlacerConfig {
+                max_windows,
+                ..DetailedPlacerConfig::new()
+            };
+            DetailedPlacer::with_config(config).place(cell.netlist(), &cell.die(), cell.placement())
+        };
+        assert_eq!(place(4096).windows_processed, 61);
+        let none = place(0);
+        assert_eq!(none.windows_processed, 0);
+        assert_eq!(none.windows_accepted, 0);
+        assert_eq!(&none.placement, cell.placement());
+        assert_eq!(place(3).windows_processed, 3);
     }
 
     #[test]

@@ -45,8 +45,8 @@ use crate::artifact::{CellLegalized, Detailed, FlowArtifact, GlobalPlacement, Gp
 use crate::pipeline::FlowConfig;
 use crate::{DetailedPlacerConfig, FlowError, LegalizationStrategy};
 use qgdp_geometry::Rect;
-use qgdp_metrics::{parallel_try_map, worker_threads, ReportDelta};
-use qgdp_netlist::{ComponentId, Placement, QuantumNetlist, SegmentId};
+use qgdp_metrics::{parallel_try_map, worker_threads};
+use qgdp_netlist::{Placement, QuantumNetlist};
 use qgdp_placer::GpStats;
 use qgdp_topology::Topology;
 use std::sync::atomic::{AtomicU8, Ordering};
@@ -367,43 +367,12 @@ fn try_batch_from_gp(
             }
         }
     }
-    // Scoring bases: one incremental ReportDelta per strategy that is detailed
-    // more than once, built off the legalized layout.  Each of that strategy's DP
-    // workers clones the base, replays its artifact's component moves and primes
-    // the artifact's scan cache with the delta-assembled scan — bit-identical to a
-    // from-scratch `LayoutScan` by the `ReportDelta` contract — so sibling detail
-    // configs share one full layout walk instead of paying one each when their
-    // reports are read.  Single-job strategies keep the lazy from-scratch path
-    // (an incremental base would cost a full walk anyway).
-    let delta_bases: Vec<(LegalizationStrategy, ReportDelta<'_>)> = distinct_strategies(requests)
-        .into_iter()
-        .filter(|&s| detail_jobs.iter().filter(|(js, _)| *js == s).count() >= 2)
-        .filter_map(|s| {
-            lookup(s).as_ref().ok().map(|cell| {
-                let base = ReportDelta::new(gp.netlist(), cell.placement(), &gp.config().crosstalk);
-                (s, base)
-            })
-        })
-        .collect();
     let detailed: Vec<Result<Detailed, FlowError>> =
         parallel_try_map(&detail_jobs, threads, |&(strategy, config)| {
-            let cell = lookup(strategy)
+            lookup(strategy)
                 .as_ref()
-                .expect("only successfully legalized strategies are detailed");
-            let dp = cell.detail_with(config);
-            if let Some((_, base)) = delta_bases.iter().find(|(s, _)| *s == strategy) {
-                let mut delta = base.clone();
-                let before = cell.placement();
-                let after = dp.placement();
-                for s in 0..after.num_segments() {
-                    let id = SegmentId(s);
-                    if before.segment(id) != after.segment(id) {
-                        delta.apply_move(ComponentId::Segment(id), after.segment(id));
-                    }
-                }
-                dp.prime_scan(Arc::new(delta.to_scan()));
-            }
-            dp
+                .expect("only successfully legalized strategies are detailed")
+                .detail_with(config)
         })
         .into_iter()
         .zip(&detail_jobs)
@@ -674,11 +643,25 @@ mod tests {
     }
 
     #[test]
-    fn delta_scored_matrix_reports_are_bit_identical_to_evaluate() {
-        // Two detail configs per strategy trigger the shared ReportDelta scoring
-        // base; the primed reports must be bit-identical to both a from-scratch
-        // evaluate and the serially-staged artifact path.
+    fn detailed_reports_are_bit_identical_to_evaluate() {
+        // Detailed artifacts start with the placer's final scan in their cache;
+        // every report must still equal a from-scratch evaluate under the
+        // session's crosstalk thresholds — for a single fork and for the batch, in
+        // both guard modes.
         let s = session();
+        let assert_fresh = |dp: &Detailed, label: &str| {
+            let fresh = qgdp_metrics::LayoutReport::evaluate(
+                dp.netlist(),
+                dp.placement(),
+                &s.config().crosstalk,
+            );
+            assert_eq!(dp.report(), &fresh, "{label}");
+            assert_eq!(
+                dp.report().hotspot_proportion_percent.to_bits(),
+                fresh.hotspot_proportion_percent.to_bits(),
+                "{label}"
+            );
+        };
         let strategies = [LegalizationStrategy::Qgdp, LegalizationStrategy::Tetris];
         let details = [
             Some(DetailedPlacerConfig::new()),
@@ -688,27 +671,36 @@ mod tests {
         assert_eq!(artifacts.len(), 4);
         for (index, artifact) in artifacts.iter().enumerate() {
             let dp = artifact.detailed().expect("every request ran DP");
-            let fresh = qgdp_metrics::LayoutReport::evaluate(
-                dp.netlist(),
-                dp.placement(),
-                &s.config().crosstalk,
-            );
-            assert_eq!(dp.report(), &fresh, "request {index}");
-            assert_eq!(
-                dp.report().hotspot_proportion_percent.to_bits(),
-                fresh.hotspot_proportion_percent.to_bits(),
-                "request {index}"
-            );
-            // The serially-staged path (no delta engine) agrees bit for bit.
+            assert_fresh(dp, &format!("batch request {index}"));
             let config = details[index % details.len()].unwrap();
-            let serial = s
+            let single = s
                 .global_place()
                 .legalize(dp.strategy())
                 .unwrap()
                 .detail_with(config);
-            assert_eq!(dp.placement(), serial.placement(), "request {index}");
-            assert_eq!(dp.report(), serial.report(), "request {index}");
+            assert_fresh(&single, &format!("single fork of request {index}"));
+            assert_eq!(dp.placement(), single.placement(), "request {index}");
         }
+
+        // A placer scoring under other thresholds must not hand its scan over.
+        let mut config = DetailedPlacerConfig::new();
+        config.crosstalk.proximity_threshold *= 2.0;
+        assert_ne!(config.crosstalk, s.config().crosstalk);
+        let cell = s
+            .global_place()
+            .legalize(LegalizationStrategy::Qgdp)
+            .unwrap();
+        let dp = cell.detail_with(config);
+        assert_ne!(
+            qgdp_metrics::LayoutReport::evaluate(dp.netlist(), dp.placement(), &config.crosstalk),
+            qgdp_metrics::LayoutReport::evaluate(
+                dp.netlist(),
+                dp.placement(),
+                &s.config().crosstalk
+            ),
+            "the placer's own scan must differ for this case to test the handoff"
+        );
+        assert_fresh(&dp, "doubled proximity threshold");
     }
 
     #[test]

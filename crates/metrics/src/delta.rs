@@ -241,6 +241,25 @@ impl<'a> ReportDelta<'a> {
         self.cluster_counts.iter().sum()
     }
 
+    /// `|C_e|` of resonator `r` in the current placement.
+    #[must_use]
+    pub fn cluster_count(&self, r: ResonatorId) -> usize {
+        self.cluster_counts[r.index()]
+    }
+
+    /// The current spatial violations, in [`find_violations`] order.
+    pub fn violations(&self) -> impl Iterator<Item = &SpatialViolation> + '_ {
+        self.violations.values()
+    }
+
+    /// The current crossing pairs `(a, b, count)`, in [`crate::crossing_pairs`]
+    /// order.
+    pub fn crossing_pairs(&self) -> impl Iterator<Item = (ResonatorId, ResonatorId, usize)> + '_ {
+        self.crossings
+            .iter()
+            .map(|(&(a, b), &n)| (ResonatorId(a), ResonatorId(b), n))
+    }
+
     /// Total crossing count `X` of the current placement.
     #[must_use]
     pub fn crossing_count(&self) -> usize {
@@ -368,7 +387,7 @@ impl<'a> ReportDelta<'a> {
     /// [`LayoutReport::evaluate`] of [`ReportDelta::placement`].
     #[must_use]
     pub fn report(&self) -> LayoutReport {
-        let violations: Vec<SpatialViolation> = self.violations.values().cloned().collect();
+        let violations: Vec<SpatialViolation> = self.violations().cloned().collect();
         LayoutReport {
             num_cells: self.netlist.num_components(),
             unified_resonators: self.cluster_counts.iter().filter(|&&c| c == 1).count(),
@@ -389,12 +408,8 @@ impl<'a> ReportDelta<'a> {
             clusters: ClusterReport {
                 cluster_counts: self.cluster_counts.clone(),
             },
-            violations: self.violations.values().cloned().collect(),
-            crossings: self
-                .crossings
-                .iter()
-                .map(|(&(a, b), &n)| (ResonatorId(a), ResonatorId(b), n))
-                .collect(),
+            violations: self.violations().cloned().collect(),
+            crossings: self.crossing_pairs().collect(),
         }
     }
 
